@@ -260,25 +260,16 @@ def _run_fig5_sweep(
     workload: Union[Trace, IrcacheConfig],
     specs: Sequence[ReplaySpec],
     workers: Optional[int],
-    sharded: bool,
 ) -> List[ReplayStats]:
-    """Dispatch a figure-5 grid onto the right workload pathway.
+    """Dispatch a figure-5 grid onto the sweep runner.
 
-    A materialized :class:`Trace` replays in RAM; an
-    :class:`IrcacheConfig` goes through the on-disk trace cache, and
-    with ``sharded=True`` through the memory-mapped shard cache — built
-    by streaming generation, so the full request log never has to fit
-    in RAM.  All three pathways are bit-identical.
+    An :class:`IrcacheConfig` is generated by streaming straight into
+    the memory-mapped shard cache, so the full request log never has to
+    fit in RAM; a materialized :class:`Trace` is compiled to shards once
+    for the workers.  Both pathways are bit-identical.
     """
     if isinstance(workload, IrcacheConfig):
-        return run_replay_sweep(
-            specs, trace_config=workload, workers=workers, sharded=sharded
-        )
-    if sharded:
-        raise ValueError(
-            "sharded fig5 sweeps take an IrcacheConfig workload "
-            "(a materialized Trace defeats the constant-memory point)"
-        )
+        return run_replay_sweep(specs, trace_config=workload, workers=workers)
     return run_replay_sweep(specs, trace=workload, workers=workers)
 
 
@@ -291,7 +282,6 @@ def run_fig5a(
     private_fraction: float = 0.2,
     seed: int = 0,
     workers: Optional[int] = None,
-    sharded: bool = False,
 ) -> Fig5Result:
     """Figure 5(a): hit rate vs cache size for the four algorithms.
 
@@ -303,8 +293,7 @@ def run_fig5a(
     :func:`repro.perf.parallel.run_replay_sweep`; ``workers`` (default:
     ``REPRO_WORKERS`` / CPU count) never changes the numbers.  ``trace``
     may be a materialized :class:`Trace` or an :class:`IrcacheConfig`
-    (cache-backed; combine with ``sharded=True`` for the
-    constant-memory streaming pathway at large scale).
+    (streamed into the shard cache: constant memory at large scale).
     """
     marking = ContentMarking(private_fraction, salt=seed)
     params = {"k": k, "epsilon": epsilon, "delta": delta}
@@ -328,7 +317,7 @@ def run_fig5a(
         for name in scheme_names
         for size in cache_sizes
     ]
-    sweep = _run_fig5_sweep(trace, specs, workers, sharded)
+    sweep = _run_fig5_sweep(trace, specs, workers)
     for spec, stats in zip(specs, sweep):
         result.stats[(spec.label, spec.cache_size)] = stats
         result.hit_rates.setdefault(spec.label, []).append(100.0 * stats.hit_rate)
@@ -344,7 +333,6 @@ def run_fig5b(
     private_fractions: Sequence[float] = (0.05, 0.10, 0.20, 0.40),
     seed: int = 0,
     workers: Optional[int] = None,
-    sharded: bool = False,
 ) -> Fig5Result:
     """Figure 5(b): Exponential-Random-Cache under varying private share.
 
@@ -370,7 +358,7 @@ def run_fig5b(
         for fraction in private_fractions
         for size in cache_sizes
     ]
-    sweep = _run_fig5_sweep(trace, specs, workers, sharded)
+    sweep = _run_fig5_sweep(trace, specs, workers)
     for spec, stats in zip(specs, sweep):
         result.stats[(spec.label, spec.cache_size)] = stats
         result.hit_rates.setdefault(spec.label, []).append(100.0 * stats.hit_rate)

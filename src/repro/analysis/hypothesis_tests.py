@@ -14,16 +14,26 @@ instead.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-try:  # pragma: no cover - environment-dependent
-    from scipy import stats as _scipy_stats
-except ImportError:  # pragma: no cover
-    _scipy_stats = None
+
+@functools.lru_cache(maxsize=1)
+def _scipy_stats():
+    """``scipy.stats``, or None without scipy.
+
+    Imported on first use: it costs about a second, and only
+    :func:`ks_two_sample` needs it, so importing this package stays cheap.
+    """
+    try:  # pragma: no cover - environment-dependent
+        from scipy import stats
+    except ImportError:  # pragma: no cover
+        return None
+    return stats
 
 
 @dataclass(frozen=True)
@@ -63,8 +73,9 @@ def ks_two_sample(a: Sequence[float], b: Sequence[float]) -> KsResult:
     y = np.sort(np.asarray(b, dtype=float))
     if x.size == 0 or y.size == 0:
         raise ValueError("both sample sets must be non-empty")
-    if _scipy_stats is not None:
-        result = _scipy_stats.ks_2samp(x, y)
+    scipy_stats = _scipy_stats()
+    if scipy_stats is not None:
+        result = scipy_stats.ks_2samp(x, y)
         return KsResult(
             statistic=float(result.statistic),
             p_value=float(result.pvalue),

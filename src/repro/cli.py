@@ -93,10 +93,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--workers", type=int, default=None,
                        help="sweep worker processes (default: REPRO_WORKERS "
                             "or CPU count; results are worker-independent)")
-        p.add_argument("--streaming", action="store_true",
-                       help="stream the workload through the mmap-sharded "
-                            "trace cache instead of materializing it in RAM "
-                            "(bit-identical results, bounded memory)")
         if name == "fig5a":
             p.add_argument("--private-fraction", type=float, default=0.2)
         else:
@@ -292,13 +288,11 @@ def _make_trace(requests: int, seed: int):
 
 
 def _fig5_workload(args):
-    """The fig5 workload: materialized Trace, or its IrcacheConfig when
-    ``--streaming`` routes the sweep through the sharded trace cache."""
+    """The fig5 workload: an IrcacheConfig, generated by streaming into
+    the mmap-sharded trace cache (bounded memory, reused across runs)."""
     from repro.workload.ircache import IrcacheConfig
 
-    if args.streaming:
-        return IrcacheConfig(requests=args.requests, seed=args.seed)
-    return _make_trace(args.requests, args.seed)
+    return IrcacheConfig(requests=args.requests, seed=args.seed)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -341,7 +335,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             cache_sizes=_parse_sizes(args.sizes),
             k=args.k, epsilon=args.epsilon, delta=args.delta,
             private_fraction=args.private_fraction, seed=args.seed,
-            workers=args.workers, sharded=args.streaming,
+            workers=args.workers,
         )
         print(result.render())
         return 0
@@ -353,7 +347,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             cache_sizes=_parse_sizes(args.sizes),
             k=args.k, epsilon=args.epsilon, delta=args.delta,
             private_fractions=args.private_fractions, seed=args.seed,
-            workers=args.workers, sharded=args.streaming,
+            workers=args.workers,
         )
         print(result.render())
         return 0

@@ -2,7 +2,8 @@
 
 * :mod:`repro.perf.parallel` — a process-pool sweep runner for Figure-5
   style (scheme × cache-size × trial) grids, with deterministic per-task
-  seeding and an on-disk trace cache shared between workers,
+  seeding and a checksummed, memory-mapped shard cache shared between
+  workers,
 * :mod:`repro.perf.timing` — a small wall-clock harness plus the
   ``BENCH_*.json`` record writer the benchmarks emit for the perf
   trajectory.
@@ -12,7 +13,7 @@ from repro.perf.parallel import (
     ReplaySpec,
     build_scheme,
     derive_seeds,
-    ensure_trace_cached,
+    ensure_sharded_trace_cached,
     resolve_workers,
     run_replay_sweep,
     trace_cache_dir,
@@ -23,7 +24,7 @@ __all__ = [
     "ReplaySpec",
     "build_scheme",
     "derive_seeds",
-    "ensure_trace_cached",
+    "ensure_sharded_trace_cached",
     "resolve_workers",
     "run_replay_sweep",
     "trace_cache_dir",

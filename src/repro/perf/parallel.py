@@ -10,10 +10,11 @@ while keeping results **independent of the worker count**:
   (``np.random.SeedSequence.spawn``), so the RNG stream of a point never
   depends on which worker ran it or in what order,
 * results are collected by spec index, returned in spec order,
-* workers obtain the trace from an on-disk cache keyed by the
+* workers obtain the trace as memory-mapped compiled shards
+  (:mod:`repro.workload.sharded`) from an on-disk cache keyed by the
   :class:`~repro.workload.ircache.IrcacheConfig` hash (or by content hash
-  for ad-hoc traces) instead of regenerating or unpickling ~10⁵ request
-  objects per task,
+  for ad-hoc traces, compiled once in the parent) instead of
+  regenerating, unpickling or re-parsing ~10⁵ request objects,
 * the serial fallback (``REPRO_WORKERS=1``, or a single spec) round-trips
   each spec through pickle so scheme/marking state is isolated exactly as
   process transport would isolate it — bit-identical to any worker count.
@@ -28,9 +29,10 @@ The runner is **failure-hardened** (see ``tests/perf/test_hardening.py``):
 * ``checkpoint=`` persists each completed point to disk
   (:class:`~repro.perf.checkpoint.SweepCheckpoint`); a killed sweep
   resumes from its completed specs,
-* trace-cache entries carry a ``.sha256`` sidecar digest that is
-  verified before use — a truncated or corrupted cache file is
-  regenerated instead of silently poisoning the whole sweep.
+* trace-cache entries carry a sha256 per shard file in their manifest,
+  verified before use — a truncated or corrupted entry is regenerated
+  instead of silently poisoning the whole sweep, and a worker that meets
+  one raises :class:`TraceCacheError`.
 
 Environment knobs:
 
@@ -87,6 +89,7 @@ from repro.workload.sharded import (
     ShardIntegrityError,
     compile_stream,
 )
+from repro.workload.streaming import TraceWorkload
 from repro.workload.trace import Trace
 
 ENV_WORKERS = "REPRO_WORKERS"
@@ -245,18 +248,13 @@ def trace_cache_dir() -> Path:
     return root
 
 
-def _config_key(
-    config: IrcacheConfig,
-    layout: str = "tsv",
-    shard_size: Optional[int] = None,
-) -> str:
+def _config_key(config: IrcacheConfig, shard_size: int = DEFAULT_SHARD_SIZE) -> str:
     """Full generator-config fingerprint for one cache entry.
 
     Keys on every config field **plus** the generation-algorithm version,
-    its internal sampling-block size, the on-disk layout, and the shard
-    size — so a sharded and a materialized (TSV) entry of the same config
-    can never collide, and a generator-algorithm change can never serve a
-    stale materialization.
+    its internal sampling-block size and the shard size — so differently
+    sharded entries of one config never collide, and a generator-algorithm
+    change can never serve a stale compilation.
     """
     payload = repr(
         (
@@ -266,88 +264,37 @@ def _config_key(
             ),
             ("algorithm", IRCACHE_ALGORITHM_VERSION),
             ("sampling_block", SAMPLING_BLOCK),
-            ("layout", layout),
+            ("layout", "sharded"),  # keeps existing entries' keys valid
             ("shard_size", shard_size),
         )
     )
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
-def _atomic_write(path: Path, writer: Callable[[Path], None]) -> None:
-    fd, tmp_name = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
-    os.close(fd)
-    tmp = Path(tmp_name)
-    try:
-        writer(tmp)
-        tmp.replace(path)
-    finally:
-        if tmp.exists():
-            tmp.unlink()
+def _trace_key(trace: Trace) -> str:
+    """Content fingerprint of an ad-hoc trace.
 
-
-def _digest_sidecar(path: Path) -> Path:
-    return path.with_name(path.name + ".sha256")
-
-
-def _file_digest(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-def _write_digest(path: Path, digest: Optional[str] = None) -> None:
-    if digest is None:
-        digest = _file_digest(path)
-    _atomic_write(
-        _digest_sidecar(path), lambda tmp: tmp.write_text(digest, encoding="utf-8")
-    )
-
-
-def verify_trace_cache(path: Union[str, Path]) -> bool:
-    """True iff the cache entry exists and matches its recorded digest.
-
-    A missing sidecar counts as invalid: an entry whose integrity cannot
-    be established is treated the same as a corrupted one and the caller
-    regenerates it.
+    Hashes the compiled arrays at full precision (content ids, float64
+    times, users) and the name table in id order, so traces differing
+    in one timestamp, one user or one name never share a key.
     """
-    path = Path(path)
-    sidecar = _digest_sidecar(path)
-    if not path.exists() or not sidecar.exists():
-        return False
-    recorded = sidecar.read_text(encoding="utf-8").strip()
-    return bool(recorded) and recorded == _file_digest(path)
+    compiled = trace.compile()
+    digest = hashlib.sha256()
+    for column in (compiled.ids, compiled.times, compiled.users):
+        digest.update(np.ascontiguousarray(column).tobytes())
+    digest.update("\n".join(map(str, compiled.names)).encode("utf-8"))
+    return digest.hexdigest()[:16]
 
 
-def ensure_trace_cached(config: IrcacheConfig) -> Path:
-    """Generate-or-reuse the trace for ``config``; returns the TSV path.
+def _ensure_shards(path: Path, build: Callable[[Path], None]) -> Path:
+    """Verify-or-regenerate the shard directory at ``path``.
 
-    Keyed by a hash of the config fields, so workers (and later runs of
-    the same sweep) load the trace instead of regenerating it.  The entry
-    is digest-verified first; a corrupted or unverifiable file is
-    regenerated in place (the config makes regeneration deterministic).
+    An existing entry is checked against its per-shard checksums; a
+    corrupted one is deleted and rebuilt by ``build`` (deterministic in
+    the cache key).  The build lands in a staging directory and is
+    renamed into place, so a killed build never leaves a half-written
+    entry under the key.
     """
-    path = trace_cache_dir() / f"ircache-{_config_key(config)}.tsv"
-    if not verify_trace_cache(path):
-        trace = IrcacheGenerator(config).generate()
-        _atomic_write(path, trace.save)
-        _write_digest(path)
-    return path
-
-
-def ensure_sharded_trace_cached(
-    config: IrcacheConfig, shard_size: int = DEFAULT_SHARD_SIZE
-) -> Path:
-    """Generate-or-reuse the **sharded** compiled trace for ``config``.
-
-    Returns the shard-directory path.  The workload is streamed straight
-    into the sharded format (:func:`~repro.workload.sharded.compile_stream`)
-    so the cache build itself never materializes the full trace — peak
-    RSS stays bounded by one shard.  An existing entry is verified
-    against its per-shard checksums first; a corrupted entry is deleted
-    and regenerated (the config makes regeneration deterministic).  The
-    build lands in a staging directory and is renamed into place, so a
-    killed build never leaves a half-written entry under the cache key.
-    """
-    key = _config_key(config, layout="sharded", shard_size=shard_size)
-    path = trace_cache_dir() / f"ircache-shards-{key}"
     if path.is_dir():
         try:
             ShardedCompiledTrace.open(path).verify()
@@ -355,19 +302,10 @@ def ensure_sharded_trace_cached(
         except (ShardIntegrityError, OSError, ValueError):
             shutil.rmtree(path, ignore_errors=True)
     staging = Path(
-        tempfile.mkdtemp(dir=str(trace_cache_dir()), prefix=f".build-{key}-")
+        tempfile.mkdtemp(dir=str(path.parent), prefix=f".build-{path.name}-")
     )
     try:
-        compile_stream(
-            IrcacheGenerator(config).stream(),
-            staging,
-            shard_size=shard_size,
-            source={
-                "kind": "ircache",
-                "config_key": key,
-                "algorithm_version": IRCACHE_ALGORITHM_VERSION,
-            },
-        )
+        build(staging)
         try:
             os.replace(staging, path)
         except OSError:
@@ -378,51 +316,47 @@ def ensure_sharded_trace_cached(
     return path
 
 
-def _trace_payload(trace: Trace) -> bytes:
-    """The canonical TSV byte serialization of ``trace``."""
-    lines = [
-        f"{request.time:.3f}\t{request.user}\t{request.name}\n" for request in trace
-    ]
-    return "".join(lines).encode("utf-8")
+def ensure_sharded_trace_cached(
+    config: IrcacheConfig, shard_size: int = DEFAULT_SHARD_SIZE
+) -> Path:
+    """Generate-or-reuse the sharded compiled trace for ``config``.
+
+    Returns the shard-directory path.  The workload is streamed straight
+    into the sharded format (:func:`~repro.workload.sharded.compile_stream`)
+    so the cache build itself never materializes the full trace — peak
+    RSS stays bounded by one shard.
+    """
+    key = _config_key(config, shard_size)
+    source = {
+        "kind": "ircache",
+        "config_key": key,
+        "algorithm_version": IRCACHE_ALGORITHM_VERSION,
+    }
+    return _ensure_shards(
+        trace_cache_dir() / f"ircache-shards-{key}",
+        lambda out: compile_stream(
+            IrcacheGenerator(config).stream(), out, shard_size, source=source
+        ),
+    )
 
 
-def _cache_trace_object(trace: Trace) -> Path:
-    """Persist an ad-hoc trace under its content hash; returns the path."""
-    payload = _trace_payload(trace)
-    digest = hashlib.sha256(payload).hexdigest()
-    path = trace_cache_dir() / f"trace-{digest[:16]}.tsv"
-    if not path.exists() or _file_digest(path) != digest:
-        _atomic_write(path, lambda tmp: tmp.write_bytes(payload))
-        _write_digest(path, digest)
-    elif not _digest_sidecar(path).exists():
-        # Pre-checksum cache entry whose content still matches: adopt it.
-        _write_digest(path, digest)
-    return path
+def _cache_trace_object(trace: Trace, shard_size: int = DEFAULT_SHARD_SIZE) -> Path:
+    """Compile-or-reuse an ad-hoc trace as shards under its content key."""
+    key = _trace_key(trace)
+    source = {"kind": "trace", "trace_key": key}
+    return _ensure_shards(
+        trace_cache_dir() / f"trace-shards-{key}-{shard_size}",
+        lambda out: compile_stream(
+            TraceWorkload(trace), out, shard_size, source=source
+        ),
+    )
 
 
-#: Per-process memo of loaded (and compiled) traces, so each worker pays
-#: the parse + intern cost once per trace, not once per task.
-_PROCESS_TRACES: Dict[str, Trace] = {}
-
-
-def _load_trace(path: str) -> Trace:
-    trace = _PROCESS_TRACES.get(path)
-    if trace is None:
-        if not verify_trace_cache(path):
-            raise TraceCacheError(
-                f"trace cache entry {path} failed its digest check "
-                "(truncated or corrupted); regenerate it via "
-                "ensure_trace_cached() before dispatching workers"
-            )
-        trace = Trace.load(path)
-        trace.compile()
-        _PROCESS_TRACES[path] = trace
-    return trace
-
-
-#: Per-process memo of opened shard directories.  Opening only maps the
-#: manifest + name table; shard arrays stay on disk until replay touches
-#: them, so the memo costs O(n_names) per trace, not O(n_requests).
+#: Per-process memo of opened, checksum-verified shard directories.
+#: Opening only maps the manifest + name table; shard arrays stay on
+#: disk until replay touches them, so the memo costs O(n_names) per
+#: trace, not O(n_requests) — and it carries each trace's marking
+#: bitmaps across the tasks a worker runs.
 _PROCESS_SHARDED: Dict[str, ShardedCompiledTrace] = {}
 
 
@@ -431,11 +365,13 @@ def _load_sharded(path: str) -> ShardedCompiledTrace:
     if sharded is None:
         try:
             sharded = ShardedCompiledTrace.open(path)
+            sharded.verify()
         except (ShardIntegrityError, OSError, ValueError) as error:
             raise TraceCacheError(
                 f"sharded trace cache entry {path} is unreadable or failed "
-                "its integrity check; regenerate it via "
-                "ensure_sharded_trace_cached() before dispatching workers"
+                "its checksum verification; regenerate it via "
+                "ensure_sharded_trace_cached() / _cache_trace_object() before "
+                "dispatching workers"
             ) from error
         _PROCESS_SHARDED[path] = sharded
     return sharded
@@ -450,7 +386,12 @@ def _execute(
     scheme = spec.scheme
     if isinstance(scheme, str):
         scheme = build_scheme(scheme, seed=spec.seed, **dict(spec.scheme_params))
-    run = fast_replay if engine == "fast" else replay
+    if engine == "fast":
+        run = fast_replay
+    else:
+        run = replay
+        if isinstance(trace, ShardedCompiledTrace):
+            trace = trace.to_trace()
     return run(
         trace,
         scheme=scheme,
@@ -485,13 +426,9 @@ def _maybe_inject_chaos() -> None:
 
 
 def _worker_run(args: tuple) -> ReplayStats:
-    trace_path, spec, engine, layout = args
+    trace_path, spec, engine = args
     _maybe_inject_chaos()
-    if layout == "sharded":
-        workload = _load_sharded(trace_path)
-    else:
-        workload = _load_trace(trace_path)
-    return _execute(workload, spec, engine)
+    return _execute(_load_sharded(trace_path), spec, engine)
 
 
 class _SweepStalled(RuntimeError):
@@ -572,30 +509,26 @@ def run_replay_sweep(
     timeout: Optional[float] = None,
     max_restarts: Optional[int] = None,
     checkpoint: Optional[Union[str, Path]] = None,
-    sharded: bool = False,
     shard_size: int = DEFAULT_SHARD_SIZE,
 ) -> List[ReplayStats]:
     """Run every sweep point; results in spec order.
 
     Exactly one of ``trace`` / ``trace_config`` supplies the workload.
-    With ``trace_config`` the workload is materialized through the
-    on-disk cache; a raw ``trace`` is persisted there (content-addressed)
-    only when worker processes actually need to load it.
-
-    ``sharded=True`` (requires ``trace_config`` and the fast engine)
-    routes the sweep through the memory-mapped sharded trace cache
-    instead of the TSV one: the cache is built by streaming generation
-    (never materializing the trace) and each worker replays shard by
-    shard, so worker RSS is bounded by one shard plus O(n_names) state
-    rather than the whole request log.  Results are bit-identical to the
-    materialized path.
+    Workers always read it from the checksummed, memory-mapped shard
+    cache (:mod:`repro.workload.sharded`): a ``trace_config`` is
+    generated straight into shards by streaming (never materialized),
+    and an ad-hoc ``trace`` is compiled once in this process and stored
+    under its content key — only when worker processes actually need
+    it; the serial path replays an ad-hoc trace in RAM.  Each worker
+    replays shard by shard, so its RSS is bounded by one shard plus
+    O(n_names) state rather than the whole request log.
 
     ``engine`` selects the replay implementation: ``"fast"`` (default,
-    the interned kernel with reference fallback) or ``"reference"``.
-    Results are bit-identical either way — and independent of
-    ``workers``, because every spec carries its own seed and schemes are
-    isolated per task (pickle round-trip in the serial path, process
-    transport otherwise).
+    the interned kernel with reference fallback) or ``"reference"``
+    (which rebuilds the exact trace from the shards).  Results are
+    bit-identical either way — and independent of ``workers``, because
+    every spec carries its own seed and schemes are isolated per task
+    (pickle round-trip in the serial path, process transport otherwise).
 
     Failure handling (parallel path): a dead worker or a stall longer
     than ``timeout`` seconds rebuilds the pool and resubmits the
@@ -609,14 +542,10 @@ def run_replay_sweep(
         raise ValueError(f"engine must be 'fast' or 'reference', got {engine!r}")
     if (trace is None) == (trace_config is None):
         raise ValueError("provide exactly one of trace= or trace_config=")
-    if sharded:
-        if trace_config is None:
-            raise ValueError("sharded sweeps require trace_config=")
-        if engine != "fast":
-            raise ValueError(
-                "sharded sweeps run on the fast engine only "
-                "(the reference engine needs a materialized Trace)"
-            )
+    if trace is not None and not isinstance(trace, Trace):
+        raise ValueError(f"trace= must be a Trace, got {type(trace).__name__}")
+    if shard_size < 1:
+        raise ValueError(f"shard_size must be >= 1, got {shard_size}")
     spec_list = list(specs)
     if not spec_list:
         return []
@@ -629,15 +558,9 @@ def run_replay_sweep(
     sweep_checkpoint: Optional[SweepCheckpoint] = None
     if checkpoint is not None:
         if trace_config is not None:
-            layout = "sharded" if sharded else "tsv"
-            key = _config_key(
-                trace_config, layout=layout, shard_size=shard_size if sharded else None
-            )
-            trace_key = f"config:{layout}:{key}"
+            trace_key = "config:" + _config_key(trace_config, shard_size)
         else:
-            trace_key = (
-                "trace:" + hashlib.sha256(_trace_payload(trace)).hexdigest()[:16]
-            )
+            trace_key = "trace:" + _trace_key(trace)
         sweep_checkpoint = SweepCheckpoint(
             checkpoint, _sweep_fingerprint(spec_list, engine, trace_key)
         )
@@ -652,33 +575,23 @@ def run_replay_sweep(
         if sweep_checkpoint is not None:
             sweep_checkpoint.append(index, stats)
 
+    remaining = {index for index in range(count) if index not in completed}
+    if not remaining:
+        return [completed[index] for index in range(count)]
+    if trace_config is not None:
+        path = str(ensure_sharded_trace_cached(trace_config, shard_size))
+    elif workers > 1:
+        path = str(_cache_trace_object(trace, shard_size))
+
     if workers <= 1:
-        if sharded:
-            workload: Union[Trace, ShardedCompiledTrace] = _load_sharded(
-                str(ensure_sharded_trace_cached(trace_config, shard_size))
-            )
-        elif trace is None:
-            workload = _load_trace(str(ensure_trace_cached(trace_config)))
-        else:
-            workload = trace
+        workload = trace if trace is not None else _load_sharded(path)
         # Pickle round-trip each spec so scheme/marking RNG state is
         # isolated exactly as process transport isolates it.
-        for index, spec in enumerate(spec_list):
-            if index in completed:
-                continue
-            deliver(
-                index, _execute(workload, pickle.loads(pickle.dumps(spec)), engine)
-            )
+        for index in sorted(remaining):
+            spec = pickle.loads(pickle.dumps(spec_list[index]))
+            deliver(index, _execute(workload, spec, engine))
         return [completed[index] for index in range(count)]
 
-    if sharded:
-        path = ensure_sharded_trace_cached(trace_config, shard_size)
-    elif trace_config is not None:
-        path = ensure_trace_cached(trace_config)
-    else:
-        path = _cache_trace_object(trace)
-    layout = "sharded" if sharded else "tsv"
-    tasks = [(str(path), spec, engine, layout) for spec in spec_list]
-    remaining = {index for index in range(count) if index not in completed}
+    tasks = [(path, spec, engine) for spec in spec_list]
     _run_hardened(tasks, remaining, workers, timeout, max_restarts, deliver)
     return [completed[index] for index in range(count)]

@@ -48,6 +48,11 @@ class CompiledTrace:
     _occurrence_index: List[Optional[np.ndarray]] = field(
         default_factory=lambda: [None], repr=False, compare=False
     )
+    #: Per-process memo of content-marking bitmaps (rule key -> per-name
+    #: bool array), filled by :mod:`repro.workload.fast_replay`.
+    marking_bitmaps: Dict[tuple, np.ndarray] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     @property
     def n_requests(self) -> int:

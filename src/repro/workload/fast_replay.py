@@ -14,8 +14,11 @@ magnitude faster:
   ``Decision``/``CacheEntry`` object churn,
 * LRU/FIFO recency is an array-backed intrusive doubly-linked list with
   O(1) touch/evict, inlined into the loop,
-* privacy marking is precompiled to a flat flag list (one hash per
-  *unique* name for :class:`ContentMarking` instead of one per request),
+* privacy marking is precompiled to a flat flag list.  A
+  :class:`ContentMarking` coin is a per-name constant, so its per-name
+  bitmap is memoized on the trace object (keyed on the rule's exact type
+  and state): a sweep pays one hash per *unique* name per rule, not one
+  per name per sweep point, nor one per request,
 * scheme decisions dispatch to int-keyed
   :class:`~repro.core.schemes.base.SchemeKernel` state machines that
   consume the scheme's RNG in exactly the reference order.
@@ -28,8 +31,9 @@ bit-identical to the in-RAM path, and peak RSS is bounded by one shard.
 
 Schemes that do not provide a kernel (see
 :meth:`CacheScheme.make_kernel`) transparently fall back to the
-reference ``replay()`` when a :class:`Trace` is available, so
-``fast_replay`` is always safe to call.
+reference ``replay()`` on a :class:`Trace` (a sharded trace rebuilds
+its source trace for this), so ``fast_replay`` is safe to call on
+anything but a bare :class:`CompiledTrace`.
 """
 
 from __future__ import annotations
@@ -123,27 +127,64 @@ class _FastRandom:
         return cid
 
 
+def _bitmap_key(rule: ContentMarking) -> Optional[tuple]:
+    """Everything that decides a content-keyed rule's per-name bitmap.
+
+    The exact type (a subclass overriding the coin never shares the base
+    class's bitmap) plus the full instance state (``fraction``, ``salt``
+    and any subclass fields).  None when that state is not hashable, in
+    which case the bitmap is recomputed on every call.
+    """
+    try:
+        key = (type(rule), tuple(sorted(vars(rule).items())))
+        hash(key)
+    except TypeError:
+        return None
+    return key
+
+
+def _content_bitmap(
+    rule: ContentMarking, trace: Union[CompiledTrace, ShardedCompiledTrace]
+) -> np.ndarray:
+    """``bitmap[content_id]``: the rule's privacy bit for every name.
+
+    Memoized on ``trace`` (per process), so every sweep point replaying
+    the same trace under an equal rule reuses one bitmap.  In-RAM traces
+    ask :meth:`ContentMarking.is_private` per :class:`Name`; sharded ones
+    mark straight off the on-disk name table through
+    :meth:`ContentMarking.is_private_uri`, without building a ``Name``.
+    """
+    key = _bitmap_key(rule)
+    memo = trace.marking_bitmaps
+    bitmap = memo.get(key) if key is not None else None
+    if bitmap is None:
+        if isinstance(trace, ShardedCompiledTrace):
+            bits = (rule.is_private_uri(uri) for uri in trace.names.iter_uris())
+        else:
+            bits = (rule.is_private(name, 0) for name in trace.names)
+        bitmap = np.fromiter(bits, dtype=bool, count=trace.n_names)
+        bitmap.flags.writeable = False  # shared by every later caller
+        if key is not None:
+            memo[key] = bitmap
+    return bitmap
+
+
 def compile_private_flags(
     rule: MarkingRule, compiled: CompiledTrace
 ) -> List[bool]:
     """Precompute the consumer privacy bit for every request.
 
     Bit-identical to calling ``rule.is_private(name, index)`` per request:
-    per-content rules are evaluated once per *unique* name and broadcast;
-    index-dependent rules (e.g. :class:`RequestMarking`, whose RNG draws
-    must happen in request order) are evaluated per request with the
-    vectorized occurrence index.
+    per-content rules are evaluated once per *unique* name (memoized on
+    the compiled trace) and broadcast; index-dependent rules (e.g.
+    :class:`RequestMarking`, whose RNG draws must happen in request
+    order) are evaluated per request with the vectorized occurrence index.
     """
     n = compiled.n_requests
     if isinstance(rule, NoMarking):
         return [False] * n
     if isinstance(rule, ContentMarking):
-        per_name = np.fromiter(
-            (rule.is_private(name, 0) for name in compiled.names),
-            dtype=bool,
-            count=compiled.n_names,
-        )
-        return per_name[compiled.ids].tolist()
+        return _content_bitmap(rule, compiled)[compiled.ids].tolist()
     names = compiled.names
     ids = compiled.ids.tolist()
     if rule.uses_request_index:
@@ -360,16 +401,9 @@ def _sharded_spans(
 ) -> Iterator[Tuple[List[int], Sequence[bool]]]:
     """Yield (ids, privacy flags) per shard, bit-identical to the in-RAM
     :func:`compile_private_flags` broadcast over the whole trace."""
-    if isinstance(rule, ContentMarking):
-        # URI-keyed fast path: mark straight off the on-disk name table
-        # without constructing Name objects (str(name) IS the uri).
-        per_name = np.fromiter(
-            (rule.is_private_uri(uri) for uri in sharded.names.iter_uris()),
-            dtype=bool,
-            count=sharded.n_names,
-        )
-    else:
-        per_name = None
+    per_name = (
+        _content_bitmap(rule, sharded) if isinstance(rule, ContentMarking) else None
+    )
     if not isinstance(rule, (NoMarking, ContentMarking)):
         # Generic name-dependent rules need real Name objects per
         # request; materialize the vocabulary once (O(n_names), still
@@ -432,39 +466,18 @@ def fast_replay(
     scheme = scheme if scheme is not None else NoPrivacyScheme()
     rule = marking if marking is not None else NoMarking()
 
-    if isinstance(trace, ShardedCompiledTrace):
-        kernel = scheme.make_kernel(trace.names)
-        if kernel is None:
-            raise ValueError(
-                f"scheme {type(scheme).__name__} provides no fast kernel; "
-                f"sharded traces have no reference-replay fallback — "
-                f"materialize the trace to use the oracle path"
-            )
-        core = _ReplayCore(
-            kernel, trace.n_names, cache_size, policy, fetch_delay, seed,
-            refresh_delayed_hits,
-        )
-        for ids, flags in _sharded_spans(rule, trace):
-            core.run_span(ids, flags)
-        return core.stats()
-
-    if isinstance(trace, CompiledTrace):
-        compiled = trace
-        source: Optional[Trace] = None
-    else:
-        source = trace
-        compiled = trace.compile()
-
+    compiled = trace.compile() if isinstance(trace, Trace) else trace
     kernel = scheme.make_kernel(compiled.names)
     if kernel is None:
-        # Unknown scheme type: stay correct by running the oracle path.
-        if source is None:
+        # Unknown scheme type: stay correct by running the oracle path
+        # (a sharded trace rebuilds the trace it was compiled from).
+        if isinstance(trace, CompiledTrace):
             raise ValueError(
                 f"scheme {type(scheme).__name__} provides no fast kernel and "
                 f"no Trace is available for the reference fallback"
             )
         return replay(
-            source,
+            trace.to_trace() if isinstance(trace, ShardedCompiledTrace) else trace,
             scheme=scheme,
             marking=rule,
             cache_size=cache_size,
@@ -478,5 +491,9 @@ def fast_replay(
         kernel, compiled.n_names, cache_size, policy, fetch_delay, seed,
         refresh_delayed_hits,
     )
-    core.run_span(compiled.ids.tolist(), compile_private_flags(rule, compiled))
+    if isinstance(compiled, ShardedCompiledTrace):
+        for ids, flags in _sharded_spans(rule, compiled):
+            core.run_span(ids, flags)
+    else:
+        core.run_span(compiled.ids.tolist(), compile_private_flags(rule, compiled))
     return core.stats()

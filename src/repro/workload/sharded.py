@@ -38,6 +38,7 @@ import numpy as np
 from repro.ndn.name import Name
 from repro.workload.compiled import CompiledTrace, _occurrence_index
 from repro.workload.streaming import Workload
+from repro.workload.trace import Request, Trace
 
 FORMAT_NAME = "repro-sharded-trace"
 FORMAT_VERSION = 1
@@ -343,6 +344,9 @@ class ShardedCompiledTrace:
         self.path = path
         self.manifest = manifest
         self._names: Optional[LazyNameTable] = None
+        #: Per-process memo of content-marking bitmaps (rule key ->
+        #: per-name bool array), filled by :mod:`repro.workload.fast_replay`.
+        self.marking_bitmaps: Dict[tuple, np.ndarray] = {}
 
     # ------------------------------------------------------------------
     # Open / verify
@@ -504,6 +508,23 @@ class ShardedCompiledTrace:
             np.concatenate(occ) if occ else np.zeros(0, dtype=np.int32)
         )
         return compiled
+
+    def to_trace(self) -> Trace:
+        """Rebuild the exact :class:`Trace` these shards were compiled from.
+
+        Names, full-precision times and users are all stored, so the
+        result replays through the reference :func:`replay` exactly as
+        the source trace does.  O(n_requests) in RAM — for the oracle
+        path, not for replay at scale.
+        """
+        names = list(self.names)
+        trace = Trace()
+        for shard in self.iter_shards():
+            for cid, time, user in zip(
+                shard.ids.tolist(), shard.times.tolist(), shard.users.tolist()
+            ):
+                trace.append(Request(time=time, user=user, name=names[cid]))
+        return trace
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (

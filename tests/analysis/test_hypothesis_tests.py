@@ -2,9 +2,16 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
+import repro.analysis.hypothesis_tests as hypothesis_tests
 from repro.analysis.hypothesis_tests import (
     KsResult,
     ks_two_sample,
@@ -84,3 +91,33 @@ class TestMannWhitneyAuc:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             mann_whitney_auc([1.0], [])
+
+
+class TestLazyScipy:
+    def test_importing_analysis_does_not_import_scipy(self):
+        """scipy costs ~1 s to import and only ks_two_sample uses it."""
+        src = Path(repro.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, repro.analysis, repro.cli\n"
+             "print('scipy' in sys.modules)"],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.strip() == "False"
+
+    def test_scipy_and_fallback_paths(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        a = rng.normal(5, 1, 300)
+        b = rng.normal(5.3, 1, 250)
+        with_scipy = ks_two_sample(a, b)
+        scipy_stats = hypothesis_tests._scipy_stats()
+        if scipy_stats is not None:
+            reference = scipy_stats.ks_2samp(np.sort(a), np.sort(b))
+            assert with_scipy.statistic == float(reference.statistic)
+            assert with_scipy.p_value == float(reference.pvalue)
+        monkeypatch.setattr(hypothesis_tests, "_scipy_stats", lambda: None)
+        fallback = ks_two_sample(a, b)
+        assert fallback.statistic == pytest.approx(with_scipy.statistic)
+        assert (fallback.n1, fallback.n2) == (300, 250)
+        assert 0.0 <= fallback.p_value <= 1.0

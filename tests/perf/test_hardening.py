@@ -3,8 +3,10 @@ and trace-cache integrity.
 
 The chaos hooks (``REPRO_CHAOS_*_FLAG``) inject real faults into live
 worker pools: a worker ``os._exit``s mid-sweep or hangs, and the runner
-must deliver results bit-identical to an undisturbed run — the ISSUE's
-acceptance criterion, guaranteed by specs carrying their own seeds.
+must deliver results bit-identical to an undisturbed run — guaranteed by
+specs carrying their own seeds.  The ad-hoc traces here reach the
+workers as checksummed shard entries (``trace-shards-*``), so the chaos
+tests exercise recovery on exactly that transport.
 """
 
 from __future__ import annotations
@@ -20,13 +22,13 @@ from repro.perf.parallel import (
     SweepError,
     TraceCacheError,
     derive_seeds,
-    ensure_trace_cached,
+    ensure_sharded_trace_cached,
     resolve_max_restarts,
     resolve_spec_timeout,
     run_replay_sweep,
-    verify_trace_cache,
 )
 from repro.workload.ircache import IrcacheConfig, IrcacheGenerator
+from repro.workload.sharded import ShardedCompiledTrace, ShardIntegrityError
 from repro.workload.trace import Trace
 
 
@@ -53,7 +55,21 @@ def _specs(count=6):
 @pytest.fixture()
 def cache_dir(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path / "traces"))
+    # Forked workers inherit the parent's opened entries: start clean.
+    monkeypatch.setattr(parallel, "_PROCESS_SHARDED", {})
     return tmp_path
+
+
+def _entry_bytes(path):
+    return {f.name: f.read_bytes() for f in sorted(path.iterdir())}
+
+
+def _verifies(path) -> bool:
+    try:
+        ShardedCompiledTrace.open(path).verify()
+    except ShardIntegrityError:
+        return False
+    return True
 
 
 class TestWorkerDeath:
@@ -71,6 +87,10 @@ class TestWorkerDeath:
         survived = run_replay_sweep(specs, trace=trace, workers=2)
         assert not flag.exists()  # a worker consumed the flag and died
         assert survived == baseline
+        # The workers read the trace from its checksummed shard entry.
+        entries = sorted((cache_dir / "traces").iterdir())
+        assert [e.name.split("-")[:2] for e in entries] == [["trace", "shards"]]
+        assert _verifies(entries[0])
 
         monkeypatch.delenv("REPRO_CHAOS_KILL_FLAG")
         assert run_replay_sweep(specs, trace=trace, workers=3) == baseline
@@ -232,56 +252,79 @@ class TestCheckpointResume:
 class TestTraceCacheIntegrity:
     def test_corrupted_cache_entry_regenerated(self, cache_dir):
         config = IrcacheConfig(requests=400, objects=300, seed=21)
-        path = ensure_trace_cached(config)
-        good = path.read_bytes()
-        assert verify_trace_cache(path)
+        path = ensure_sharded_trace_cached(config, shard_size=128)
+        good = _entry_bytes(path)
+        assert _verifies(path)
 
-        path.write_bytes(good[: len(good) // 2])  # truncation mid-file
-        assert not verify_trace_cache(path)
-        again = ensure_trace_cached(config)
+        shard = path / "shard-00001.times.npy"
+        shard.write_bytes(good[shard.name][: len(good[shard.name]) // 2])
+        assert not _verifies(path)
+        again = ensure_sharded_trace_cached(config, shard_size=128)
         assert again == path
-        assert verify_trace_cache(path)
-        assert path.read_bytes() == good  # deterministic regeneration
+        assert _verifies(path)
+        assert _entry_bytes(path) == good  # deterministic regeneration
 
-    def test_missing_sidecar_treated_as_invalid(self, cache_dir):
-        config = IrcacheConfig(requests=400, objects=300, seed=22)
-        path = ensure_trace_cached(config)
-        parallel._digest_sidecar(path).unlink()
-        assert not verify_trace_cache(path)
-        assert verify_trace_cache(ensure_trace_cached(config))
+    def test_missing_manifest_treated_as_invalid(self, cache_dir, trace):
+        """The manifest carries every checksum: without it (or without a
+        shard file it names) the entry is invalid and is rebuilt."""
+        path = parallel._cache_trace_object(trace, shard_size=256)
+        good = _entry_bytes(path)
+        (path / "manifest.json").unlink()
+        assert not _verifies(path)
+        assert parallel._cache_trace_object(trace, shard_size=256) == path
+        assert _entry_bytes(path) == good
+        (path / "shard-00002.ids.npy").unlink()
+        assert not _verifies(path)
+        parallel._cache_trace_object(trace, shard_size=256)
+        assert _entry_bytes(path) == good
 
-    def test_load_trace_refuses_corrupt_entry(self, cache_dir, monkeypatch):
-        config = IrcacheConfig(requests=400, objects=300, seed=23)
-        path = ensure_trace_cached(config)
-        path.write_text("0.000\t0\t/poison\n", encoding="utf-8")  # stale sidecar
-        monkeypatch.setattr(parallel, "_PROCESS_TRACES", {})
-        with pytest.raises(TraceCacheError, match="digest"):
-            parallel._load_trace(str(path))
+    def test_load_trace_refuses_corrupt_entry(self, cache_dir, trace):
+        path = parallel._cache_trace_object(trace)
+        (path / "shard-00000.users.npy").write_bytes(b"poison")
+        with pytest.raises(TraceCacheError, match="checksum"):
+            parallel._load_sharded(str(path))
+
+    def test_worker_refuses_corrupt_entry(self, cache_dir, trace, monkeypatch):
+        """A worker that meets an entry corrupted after the parent's
+        verification raises instead of replaying poisoned shards."""
+        real = parallel._cache_trace_object
+
+        def corrupting(*args, **kwargs):
+            path = real(*args, **kwargs)
+            (path / "names.tsv").write_text("/poison\n", encoding="utf-8")
+            return path
+
+        monkeypatch.setattr(parallel, "_cache_trace_object", corrupting)
+        with pytest.raises(TraceCacheError, match="checksum"):
+            run_replay_sweep(_specs(2), trace=trace, workers=2)
 
     def test_sweep_self_heals_poisoned_cache(self, trace, cache_dir, monkeypatch):
-        """End-to-end: a corrupted cache file cannot poison sweep results."""
+        """End-to-end: a corrupted cache entry cannot poison sweep results."""
         config = IrcacheConfig(requests=400, objects=300, seed=24)
         specs = _specs(2)
         clean = run_replay_sweep(specs, trace_config=config, workers=1)
 
-        path = ensure_trace_cached(config)
-        path.write_text("0.000\t0\t/poison\n", encoding="utf-8")
-        monkeypatch.setattr(parallel, "_PROCESS_TRACES", {})
+        path = ensure_sharded_trace_cached(config)
+        (path / "shard-00000.ids.npy").write_bytes(b"poison")
+        monkeypatch.setattr(parallel, "_PROCESS_SHARDED", {})
         healed = run_replay_sweep(specs, trace_config=config, workers=1)
         assert healed == clean
 
+        # And the ad-hoc entry the workers read heals the same way.
+        baseline = run_replay_sweep(specs, trace=trace, workers=1)
+        adhoc = parallel._cache_trace_object(trace)
+        (adhoc / "shard-00000.ids.npy").write_bytes(b"poison")
+        assert run_replay_sweep(specs, trace=trace, workers=2) == baseline
+
     def test_adhoc_trace_cache_checksummed(self, cache_dir, trace):
         path = parallel._cache_trace_object(trace)
-        assert verify_trace_cache(path)
-        # Corrupt it; the next persist call rewrites it.
-        path.write_bytes(b"garbage")
+        sharded = ShardedCompiledTrace.open(path)
+        sharded.verify()
+        assert sharded.manifest["source"]["kind"] == "trace"
+        assert sharded.n_requests == len(trace)
+        # Corrupt it; the next persist call rebuilds it in place.
+        (path / "names.tsv").write_bytes(b"garbage")
+        assert not _verifies(path)
         again = parallel._cache_trace_object(trace)
         assert again == path
-        assert verify_trace_cache(path)
-
-    def test_adhoc_pre_checksum_entry_adopted(self, cache_dir, trace):
-        path = parallel._cache_trace_object(trace)
-        parallel._digest_sidecar(path).unlink()  # PR-1 era entry, no sidecar
-        again = parallel._cache_trace_object(trace)
-        assert again == path
-        assert verify_trace_cache(path)
+        assert _verifies(path)

@@ -1,18 +1,19 @@
-"""Sharded sweep mode: bounded-RSS workers, cache-key disjointness,
-checksum-verified regenerate-on-corruption."""
+"""Sharded sweeps: bounded-RSS workers, cache-key disjointness,
+checksum-verified regenerate-on-corruption, no TSV transport."""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.analysis.experiments import run_fig5a
 from repro.perf.parallel import (
     ReplaySpec,
+    _cache_trace_object,
     _config_key,
     ensure_sharded_trace_cached,
-    ensure_trace_cached,
     run_replay_sweep,
 )
-from repro.workload.ircache import IrcacheConfig
+from repro.workload.ircache import IrcacheConfig, IrcacheGenerator
 from repro.workload.marking import ContentMarking, RequestMarking
 from repro.workload.sharded import ShardedCompiledTrace
 
@@ -48,31 +49,53 @@ def _isolated_cache(tmp_path, monkeypatch):
 def test_sharded_sweep_matches_materialized_serial_and_parallel():
     """The streaming/sharded path must be bit-identical to the in-RAM
     path for every spec — across serial and multi-worker execution."""
-    materialized = run_replay_sweep(SPECS, trace_config=CONFIG, workers=1)
+    materialized = run_replay_sweep(
+        SPECS, trace=IrcacheGenerator(CONFIG).generate(), workers=1
+    )
     serial = run_replay_sweep(
-        SPECS, trace_config=CONFIG, workers=1, sharded=True, shard_size=1024
+        SPECS, trace_config=CONFIG, workers=1, shard_size=1024
     )
     parallel = run_replay_sweep(
-        SPECS, trace_config=CONFIG, workers=3, sharded=True, shard_size=1024
+        SPECS, trace_config=CONFIG, workers=3, shard_size=1024
     )
     assert materialized == serial == parallel
 
 
 def test_cache_keys_disjoint_across_layout_and_shard_size():
-    """Satellite: the cache fingerprint covers layout and chunking, so a
-    sharded entry can never collide with a materialized one (or with a
-    differently sharded one) for the same generator config."""
+    """The cache fingerprint covers the shard size, and generator-config
+    entries and ad-hoc-trace entries live under different names, so no
+    two layouts of the same requests can collide."""
     keys = {
         _config_key(CONFIG),
-        _config_key(CONFIG, layout="sharded", shard_size=1024),
-        _config_key(CONFIG, layout="sharded", shard_size=4096),
+        _config_key(CONFIG, shard_size=1024),
+        _config_key(CONFIG, shard_size=4096),
     }
     assert len(keys) == 3
-    # And the on-disk entries land under different names entirely.
-    tsv = ensure_trace_cached(CONFIG)
-    shards = ensure_sharded_trace_cached(CONFIG, shard_size=1024)
-    assert tsv != shards
-    assert tsv.exists() and shards.is_dir()
+    trace = IrcacheGenerator(CONFIG).generate()
+    paths = {
+        ensure_sharded_trace_cached(CONFIG, shard_size=1024),
+        ensure_sharded_trace_cached(CONFIG, shard_size=4096),
+        _cache_trace_object(trace, shard_size=1024),
+        _cache_trace_object(trace, shard_size=4096),
+    }
+    assert len(paths) == 4
+    assert all(path.is_dir() for path in paths)
+
+
+def test_sweeps_write_no_tsv_entries(tmp_path):
+    """Every sweep transports its trace as checksummed shards: no TSV
+    cache entry and no digest sidecar is ever written."""
+    trace = IrcacheGenerator(CONFIG).generate()
+    run_fig5a(trace, cache_sizes=(64, None), workers=2)
+    run_fig5a(CONFIG, cache_sizes=(64, None), workers=2)
+    written = [path.name for path in tmp_path.rglob("*")]
+    assert not [name for name in written if name.endswith(".sha256")]
+    assert [name for name in written if name.endswith(".tsv")] == [
+        "names.tsv", "names.tsv",
+    ]
+    assert sorted(path.name.split("-")[0] for path in tmp_path.iterdir()) == [
+        "ircache", "trace",
+    ]
 
 
 def test_config_key_covers_every_config_field():
@@ -106,11 +129,7 @@ def test_sharded_cache_reused_then_regenerated_on_corruption():
 
 
 def test_sharded_mode_input_validation(tmp_path):
-    with pytest.raises(ValueError, match="trace_config"):
-        run_replay_sweep(
-            SPECS[:1], trace=object(), sharded=True  # type: ignore[arg-type]
-        )
-    with pytest.raises(ValueError, match="fast engine"):
-        run_replay_sweep(
-            SPECS[:1], trace_config=CONFIG, sharded=True, engine="reference"
-        )
+    with pytest.raises(ValueError, match="Trace"):
+        run_replay_sweep(SPECS[:1], trace=object())  # type: ignore[arg-type]
+    with pytest.raises(ValueError, match="shard_size"):
+        run_replay_sweep(SPECS[:1], trace_config=CONFIG, shard_size=0)

@@ -15,6 +15,7 @@ from repro.workload.compiled import compile_trace
 from repro.workload.fast_replay import fast_replay
 from repro.workload.ircache import IrcacheConfig, IrcacheGenerator
 from repro.workload.marking import ContentMarking, NoMarking, RequestMarking
+from repro.workload.replay import replay
 from repro.workload.sharded import (
     ShardedCompiledTrace,
     ShardIntegrityError,
@@ -190,16 +191,24 @@ def test_sharded_replay_bit_identical(
     assert in_ram == streamed
 
 
-def test_sharded_replay_requires_kernel_scheme(tmp_path):
-    """Schemes without a batch kernel would need the reference replay,
-    which needs Request objects — sharded traces refuse explicitly."""
+def test_sharded_replay_falls_back_for_kernelless_scheme(tmp_path):
+    """Schemes without a fast kernel need the reference replay, which
+    needs Request objects: a sharded trace rebuilds its source trace
+    (names, full-precision times, users) and replays that."""
 
     class KernellessScheme(NoPrivacyScheme):
         def make_kernel(self, names):
             return None
 
+    config = _config(200, seed=1)
     sharded = compile_stream(
-        IrcacheGenerator(_config(200, seed=1)).stream(), tmp_path, shard_size=64
+        IrcacheGenerator(config).stream(), tmp_path, shard_size=64
     )
-    with pytest.raises(ValueError, match="sharded"):
-        fast_replay(sharded, scheme=KernellessScheme(), cache_size=32, seed=3)
+    expected = replay(
+        IrcacheGenerator(config).generate(), scheme=KernellessScheme(),
+        marking=RequestMarking(0.3, seed=2), cache_size=32, seed=3,
+    )
+    assert fast_replay(
+        sharded, scheme=KernellessScheme(), marking=RequestMarking(0.3, seed=2),
+        cache_size=32, seed=3,
+    ) == expected
