@@ -3,10 +3,6 @@
 Measures raw packet-hops/sec on two canonical topologies (a 16-consumer
 star and a 3-level tree, :mod:`repro.perf.simcore`) plus the end-to-end
 wall time of the Figure-3 LAN panel, and emits ``BENCH_sim_core.json``.
-The same workloads also run on the struct-of-arrays batch kernel
-(:mod:`repro.sim.batch`) and are recorded as ``star_batch`` /
-``tree_batch`` — bit-identical observable counts, compared against the
-same pinned pre-optimisation baselines.
 
 The ``baseline_*`` meta fields pin the pre-optimisation numbers measured
 at the commit immediately before the fast path landed (interned names,
@@ -15,12 +11,10 @@ same development container, so the recorded ``speedup_vs_baseline`` is an
 apples-to-apples before/after at identical scale.  Because absolute
 wall-clock depends on the host, the hard assertions here are the
 *determinism* contract — the optimised core must produce exactly the
-same packet/event counts as the baseline run did — plus a loose sanity
-floor on throughput: the batch kernel must clear 5x the pinned baseline
-hops/sec unconditionally.  Set ``REPRO_BENCH_SIMCORE_ASSERT=1`` (used
-when benching on the reference container) to also enforce the full
-speedup targets: >=3x packet-hops/sec on the reference fast path, >=2x
-on the fig3 LAN panel, and >=10x for the batch kernel.
+same packet/event counts as the baseline run did.  Set
+``REPRO_BENCH_SIMCORE_ASSERT=1`` (used when benching on the reference
+container) to also enforce the speedup targets: >=3x packet-hops/sec on
+the star and tree topologies and >=2x on the fig3 LAN panel.
 """
 
 from __future__ import annotations
@@ -29,7 +23,7 @@ import os
 import time
 
 from repro.analysis.experiments import run_fig3
-from repro.perf.simcore import run_star, run_star_batch, run_tree, run_tree_batch
+from repro.perf.simcore import run_star, run_tree
 from repro.perf.timing import BenchReporter
 
 #: Pre-fast-path numbers (best of 3) at the scales used below.
@@ -64,8 +58,6 @@ def test_sim_core_throughput(benchmark):
 
     star = _best(run_star)
     tree = _best(run_tree)
-    star_batch = _best(run_star_batch)
-    tree_batch = _best(run_tree_batch)
 
     fig3_best = None
     for _ in range(ROUNDS):
@@ -87,13 +79,8 @@ def test_sim_core_throughput(benchmark):
             "fig3_trials": 6,
         },
     )
-    for label, base_label, result in (
-        ("star", "star", star),
-        ("tree", "tree", tree),
-        ("star_batch", "star", star_batch),
-        ("tree_batch", "tree", tree_batch),
-    ):
-        base = BASELINE[base_label]
+    for label, result in (("star", star), ("tree", tree)):
+        base = BASELINE[label]
         reporter.record(
             label,
             result.wall_s,
@@ -119,31 +106,18 @@ def test_sim_core_throughput(benchmark):
     print()
     print(
         f"star {star.hops_per_sec:,.0f} hops/s, tree {tree.hops_per_sec:,.0f} "
-        f"hops/s, batch star {star_batch.hops_per_sec:,.0f} hops/s, "
-        f"batch tree {tree_batch.hops_per_sec:,.0f} hops/s, "
-        f"fig3a_lan {fig3_best:.3f}s ({path})"
+        f"hops/s, fig3a_lan {fig3_best:.3f}s ({path})"
     )
 
-    # Bit-identity: neither fast path may change any observable count.
-    for label, result in (
-        ("star", star),
-        ("tree", tree),
-        ("star", star_batch),
-        ("tree", tree_batch),
-    ):
+    # Bit-identity: the fast path may not change any observable count.
+    for label, result in (("star", star), ("tree", tree)):
         expected = EXPECTED[label]
         assert result.packet_hops == expected["hops"]
         assert result.events == expected["events"]
         assert result.delivered == expected["delivered"] == result.requests
         assert result.cache_hits == expected["cache_hits"]
 
-    # The batch kernel must clear 5x baseline even on noisy hosts.
-    assert star_batch.hops_per_sec >= 5 * BASELINE["star"]["hops_per_sec"]
-    assert tree_batch.hops_per_sec >= 5 * BASELINE["tree"]["hops_per_sec"]
-
     if STRICT:
         assert star.hops_per_sec >= 3 * BASELINE["star"]["hops_per_sec"]
         assert tree.hops_per_sec >= 3 * BASELINE["tree"]["hops_per_sec"]
         assert fig3_best <= BASELINE["fig3a_lan"]["wall_s"] / 2
-        assert star_batch.hops_per_sec >= 10 * BASELINE["star"]["hops_per_sec"]
-        assert tree_batch.hops_per_sec >= 10 * BASELINE["tree"]["hops_per_sec"]

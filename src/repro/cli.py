@@ -119,9 +119,6 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="skip the oracle-vs-fast-kernel cross-check")
     validate.add_argument("--skip-invariants", action="store_true",
                           help="skip the packet-level overload scenarios")
-    validate.add_argument("--skip-topology-differential", action="store_true",
-                          help="skip the reference-engine-vs-batch-kernel "
-                               "topology cross-check")
     validate.add_argument("--skip-defense", action="store_true",
                           help="skip the defense-off/monitor bit-identity "
                                "transparency check")
@@ -191,10 +188,6 @@ def _build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--consumers", type=int, default=None,
                          help="sim-core-star: number of consumers")
     profile.add_argument("--seed", type=int, default=0)
-    profile.add_argument("--kernel", choices=["reference", "batch"],
-                         default="reference",
-                         help="sim-core targets: simulation engine to "
-                              "profile (batch = struct-of-arrays kernel)")
     profile.add_argument("--top", type=int, default=25,
                          help="rows of the cProfile table to print")
     profile.add_argument("--sort", default="cumulative",
@@ -437,20 +430,6 @@ def _run_validate(args) -> int:
         if not report.ok:
             failed = True
             for case in report.failures:
-                print(f"  - {case.case.label}: " + "; ".join(case.mismatches))
-
-    if not args.skip_topology_differential:
-        from repro.validation.differential import validate_topology_differential
-
-        topo_report = validate_topology_differential(seed=args.seed)
-        print(
-            f"topology differential: "
-            f"{'ok' if topo_report.ok else 'MISMATCH'} "
-            f"({len(topo_report.results)} topology/scheme/policy cases)"
-        )
-        if not topo_report.ok:
-            failed = True
-            for case in topo_report.failures:
                 print(f"  - {case.case.label}: " + "; ".join(case.mismatches))
 
     if not args.skip_streaming_differential:
@@ -733,34 +712,24 @@ def _run_profile(args) -> int:
 
     from repro.sim import profiling
 
-    batch = args.kernel == "batch"
-    if batch and args.target not in ("sim-core-star", "sim-core-tree"):
-        print(
-            "error: --kernel batch only applies to sim-core targets",
-            file=sys.stderr,
-        )
-        return 2
-
     if args.target == "sim-core-star":
-        from repro.perf.simcore import run_star, run_star_batch
+        from repro.perf.simcore import run_star
 
         kwargs = {"seed": args.seed}
         if args.consumers is not None:
             kwargs["consumers"] = args.consumers
         if args.requests is not None:
             kwargs["requests_per_consumer"] = args.requests
-        runner = run_star_batch if batch else run_star
-        workload = lambda: runner(**kwargs)  # noqa: E731
-        label = f"sim-core star topology ({args.kernel} kernel)"
+        workload = lambda: run_star(**kwargs)  # noqa: E731
+        label = "sim-core star topology"
     elif args.target == "sim-core-tree":
-        from repro.perf.simcore import run_tree, run_tree_batch
+        from repro.perf.simcore import run_tree
 
         kwargs = {"seed": args.seed}
         if args.requests is not None:
             kwargs["requests_per_consumer"] = args.requests
-        runner = run_tree_batch if batch else run_tree
-        workload = lambda: runner(**kwargs)  # noqa: E731
-        label = f"sim-core 3-level tree topology ({args.kernel} kernel)"
+        workload = lambda: run_tree(**kwargs)  # noqa: E731
+        label = "sim-core 3-level tree topology"
     else:
         workload = lambda: run_fig3(  # noqa: E731
             args.target,

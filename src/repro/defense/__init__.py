@@ -10,10 +10,9 @@ de-escalate on a hysteresis timer.  :mod:`~repro.defense.scenario`
 closes the loop against the seeded adversarial windows of
 :mod:`repro.faults.adversarial`.
 
-Everything here rides the reference engine and the real-time daemon;
-the batch kernel refuses defended routers at compile time (they fall
-back to the reference engine transparently), and with no agent
-installed the forwarder hot path is bit-identical to the seed.
+Everything here rides the simulation engine and the real-time daemon,
+and with no agent installed the forwarder hot path is bit-identical to
+the seed.
 """
 
 from repro.defense.agent import (

@@ -17,7 +17,7 @@ schemes (:mod:`repro.core.schemes`) and the replacement policies
 A strategy is consulted exactly once per candidate insertion, in
 :meth:`repro.ndn.forwarder.Forwarder._maybe_cache`, for content that is
 *new* to this router's CS (a refresh of an already-cached name bypasses
-admission, mirroring the batch kernel's re-insert path).  A declined
+admission).  A declined
 admission counts the ``cache_declined`` monitor counter and leaves the
 CS conservation ledger untouched, so the invariant checker's law D
 (``insertions == removed + len(cs)``) holds under any strategy.
@@ -35,10 +35,6 @@ stream (``caching:{router}`` under the network's
 :class:`~repro.sim.rng.RngRegistry`), following the PR-1 seeding
 discipline: decisions depend only on the root seed and the router name,
 never on worker count or construction order.
-
-Every strategy here lowers to an int-keyed kernel in
-:mod:`repro.sim.batch.compile` (strategy *subclasses* do not, and trigger
-the documented ``BatchCompileError`` reference fallback).
 """
 
 from __future__ import annotations
@@ -55,7 +51,7 @@ class StrategyError(ValueError):
 
 
 class CachingStrategy:
-    """Base class: one cache-admission decision point, two engines.
+    """Base class: one cache-admission decision point.
 
     Subclasses override :meth:`admit`.  Class attributes tell the data
     plane what context the strategy actually needs, so the common case
@@ -161,8 +157,7 @@ class EdgeStrategy(CachingStrategy):
 
     def admit(self, name, origin_hops, forwarder, downstreams=()) -> bool:
         # End hosts have no FIB; routers do.  (Duck-typed to avoid a
-        # forwarder import cycle; the batch kernel mirrors this as
-        # ``dest_kind != DEST_ROUTER``.)
+        # forwarder import cycle.)
         return any(
             getattr(face.peer.owner, "fib", None) is None
             for face in downstreams
@@ -280,7 +275,7 @@ class Cl4mStrategy(CachingStrategy):
     (ties included) of routers by centrality take copies.  ``reset()``
     keeps the cached verdict — betweenness is topology state, not trial
     state.  The decision is deterministic (sorted traversal order, no
-    RNG) and lowers to a precomputed boolean in the batch kernel.
+    RNG).
     """
 
     kind = "cl4m"

@@ -16,14 +16,9 @@ Two fixed topologies:
   determinism.
 
 Both are deterministic per seed and expressed as
-:class:`~repro.sim.batch.script.ConsumerScript` workloads, so the same
-topology+workload pair runs on either engine: ``run_star``/``run_tree``
-drive the reference object-graph engine, ``run_star_batch``/
-``run_tree_batch`` the struct-of-arrays kernel.  Observables are
-bit-identical between the two (asserted by
-:func:`repro.validation.differential.validate_topology_differential`);
-only ``wall_s`` differs.  :mod:`benchmarks.bench_sim_core` and the
-``repro-experiments profile`` command build on them.
+:class:`~repro.sim.script.ConsumerScript` workloads; ``run_star`` and
+``run_tree`` drive them on the engine.  :mod:`benchmarks.bench_sim_core`
+and the ``repro-experiments profile`` command build on them.
 """
 
 from __future__ import annotations
@@ -34,15 +29,8 @@ from typing import List, Tuple
 
 from repro.ndn.link import FixedDelay, GaussianJitterDelay, LogNormalDelay
 from repro.ndn.network import Network
-from repro.sim.batch.compile import compile_topology
-from repro.sim.batch.kernel import run_compiled
-from repro.sim.batch.script import (
-    ConsumerScript,
-    FetchStep,
-    TopologyObservables,
-    _script_process,
-)
 from repro.sim.rng import RngRegistry
+from repro.sim.script import ConsumerScript, FetchStep, _script_process
 
 #: Prefix the sim-core object universe lives under.
 SIMCORE_PREFIX = "/content"
@@ -104,7 +92,7 @@ def _drive(
     requests_per_consumer: int,
     universe: int,
 ) -> SimCoreResult:
-    """Run the sim-core scripts on the reference engine, timing only
+    """Run the sim-core scripts on the engine, timing only
     :meth:`Network.run` (setup and spawning stay outside the clock)."""
     scripts = simcore_scripts(consumer_names, requests_per_consumer, universe)
     delivered = {s.consumer: 0 for s in scripts}
@@ -132,49 +120,6 @@ def _drive(
         cache_hits=hits,
         sim_end_ms=end,
         wall_s=wall,
-    )
-
-
-def _drive_batch(
-    net: Network,
-    topology: str,
-    consumer_names: List[str],
-    requests_per_consumer: int,
-    universe: int,
-) -> SimCoreResult:
-    """Run the same scripts on the batch kernel, timing only the kernel
-    dispatch loop (compilation stays outside the clock, mirroring how
-    :func:`_drive` keeps spawning outside it)."""
-    scripts = simcore_scripts(consumer_names, requests_per_consumer, universe)
-    compiled = compile_topology(net, scripts)
-
-    start = time.perf_counter()
-    obs = run_compiled(compiled)
-    wall = time.perf_counter() - start
-
-    return _result_from_observables(
-        topology, obs, len(consumer_names), requests_per_consumer, wall
-    )
-
-
-def _result_from_observables(
-    topology: str,
-    obs: TopologyObservables,
-    consumers: int,
-    requests_per_consumer: int,
-    wall_s: float,
-) -> SimCoreResult:
-    """Fold the observables contract into the sim-core result shape."""
-    return SimCoreResult(
-        topology=topology,
-        consumers=consumers,
-        requests=requests_per_consumer * consumers,
-        delivered=obs.total_delivered,
-        packet_hops=obs.total_hops,
-        events=obs.events_processed,
-        cache_hits=obs.total_cache_hits,
-        sim_end_ms=obs.end_time,
-        wall_s=wall_s,
     )
 
 
@@ -249,30 +194,7 @@ def run_tree(
     return _drive(net, "tree", names, requests_per_consumer, universe)
 
 
-def run_star_batch(
-    consumers: int = 16,
-    requests_per_consumer: int = 200,
-    seed: int = 0,
-    cache_capacity: int = 64,
-) -> SimCoreResult:
-    """The star workload on the batch kernel (bit-identical counts)."""
-    net, names, universe = build_star(consumers, seed, cache_capacity)
-    return _drive_batch(net, "star_batch", names, requests_per_consumer, universe)
-
-
-def run_tree_batch(
-    requests_per_consumer: int = 150,
-    seed: int = 0,
-    cache_capacity: int = 32,
-) -> SimCoreResult:
-    """The tree workload on the batch kernel (bit-identical counts)."""
-    net, names, universe = build_tree(seed, cache_capacity)
-    return _drive_batch(net, "tree_batch", names, requests_per_consumer, universe)
-
-
 RUNNERS = {
     "star": run_star,
     "tree": run_tree,
-    "star_batch": run_star_batch,
-    "tree_batch": run_tree_batch,
 }

@@ -211,9 +211,7 @@ class Engine:
         """Drop cancelled events sitting at the head of the heap.
 
         The single purge helper shared by :meth:`run`, :meth:`step`, and
-        :meth:`peek` — and mirrored by the calendar-queue backend
-        (:class:`repro.sim.calendar.CalendarQueue`), which implements the
-        same lazy skip-at-pop semantics over its bucket structure.
+        :meth:`peek`.
         """
         queue = self._queue
         cancelled = EventState.CANCELLED

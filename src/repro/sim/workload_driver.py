@@ -1,9 +1,9 @@
 """Drive the packet simulator from a streaming :class:`Workload`.
 
-The bridge between the workload layer and the topology engines: requests
+The bridge between the workload layer and the packet simulator: requests
 are pulled block by block from any :class:`~repro.workload.streaming.Workload`
 and lowered straight into per-consumer
-:class:`~repro.sim.batch.script.ConsumerScript` step lists — no
+:class:`~repro.sim.script.ConsumerScript` step lists — no
 :class:`~repro.workload.trace.Request` objects and no materialized
 :class:`~repro.workload.trace.Trace` in between.  Because the lowering
 consumes only the block columns (times / users / keys) and the
@@ -24,13 +24,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from repro.ndn.network import Network
-from repro.sim.batch.script import (
-    ConsumerScript,
-    FetchStep,
-    SleepStep,
-    TopologyObservables,
-)
+from repro.sim.script import ConsumerScript, FetchStep, SleepStep
 from repro.workload.streaming import Workload
 
 
@@ -52,9 +46,8 @@ def scripts_from_workload(
     before they become sleep gaps (use e.g. ``1e-3`` to compress a
     wall-clock-ms proxy day into simulated seconds).  ``private_period``
     > 0 marks every N-th fetch *of each consumer* private — a
-    deterministic stand-in for request marking that both engines
-    interpret identically.  The result depends only on the workload's
-    request sequence, never on its chunking.
+    deterministic stand-in for request marking.  The result depends only
+    on the workload's request sequence, never on its chunking.
     """
     if not consumers:
         raise ValueError("need at least one consumer name")
@@ -90,22 +83,3 @@ def scripts_from_workload(
         for name, step_list in zip(consumers, steps)
     ]
 
-
-def run_workload(
-    net: Network,
-    workload: Workload,
-    consumers: Sequence[str],
-    *,
-    kernel: str = "auto",
-    **script_kwargs: object,
-) -> TopologyObservables:
-    """Lower ``workload`` onto ``net``'s consumers and run it.
-
-    ``kernel`` follows :func:`repro.sim.batch.run_scripts`: ``"auto"``
-    compiles to the batch kernel when the topology supports it and falls
-    back transparently, ``"reference"`` forces the oracle engine.
-    """
-    from repro.sim.batch import run_scripts
-
-    scripts = scripts_from_workload(workload, consumers, **script_kwargs)
-    return run_scripts(net, scripts, kernel=kernel)

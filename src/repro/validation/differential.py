@@ -16,19 +16,11 @@ second, reporting a false mismatch.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
-from repro.ndn.link import FixedDelay, GaussianJitterDelay, LogNormalDelay
+from repro.ndn.link import FixedDelay
 from repro.ndn.network import Network
-from repro.ndn.topology import fat_tree, local_lan
 from repro.perf.parallel import build_scheme
-from repro.sim.batch.script import (
-    ConsumerScript,
-    FetchStep,
-    TopologyObservables,
-    diff_observables,
-    run_scripts_reference,
-)
 from repro.sim.rng import RngRegistry
 from repro.workload.fast_replay import fast_replay
 from repro.workload.ircache import IrcacheConfig, IrcacheGenerator
@@ -181,316 +173,6 @@ def validate_differential(
 
 
 # ======================================================================
-# Topology differential: reference engine vs the batch kernel
-# ======================================================================
-#: Prefix the topology-differential object universe lives under (matches
-#: both the sim-core workloads and the fig3 attack topologies).
-_TOPO_PREFIX = "/content"
-
-
-@dataclass(frozen=True)
-class TopologyCase:
-    """One (topology, scheme, policy, workload) configuration to
-    cross-check between the reference engine and the batch kernel."""
-
-    topology: str  # "star" | "tree" | "fig3a_lan" | "fat_tree"
-    scheme: str = "no-privacy"
-    policy: str = "lru"
-    #: Cache-admission strategy kind (:mod:`repro.ndn.strategy`) on every
-    #: router; "lce" is the seed's cache-everywhere behavior.
-    caching: str = "lce"
-    #: Forwarding strategy ("best-route" | "multicast"); the batch kernel
-    #: only supports best-route, so a multicast case must set
-    #: :attr:`expect_fallback`.
-    forwarding: str = "best-route"
-    #: True for configurations the batch compiler must *refuse*: the
-    #: batch leg then runs through ``run_scripts(kernel="auto")`` and the
-    #: case asserts the transparent reference fallback (engine recorded
-    #: as "reference", observables still identical).
-    expect_fallback: bool = False
-    requests_per_consumer: int = 30
-    #: Consumer wait budget; set below the topology RTT to exercise the
-    #: timeout / PIT-expiry / retransmission paths.
-    timeout: float = 4000.0
-    #: Every Nth fetch carries the privacy mark (0 disables marking).
-    private_period: int = 3
-    cache_capacity: int = 8
-    seed: int = 0
-
-    @property
-    def label(self) -> str:
-        """Human-readable configuration tag."""
-        tag = (
-            f"{self.topology}/{self.scheme}/{self.policy}/{self.caching}"
-            f"/to={self.timeout}/seed={self.seed}"
-        )
-        if self.expect_fallback:
-            tag += "/fallback"
-        return tag
-
-
-def default_topology_cases(seed: int = 0) -> List[TopologyCase]:
-    """The CI grid: sim-core shapes plus the fig3 LAN panel and a fat
-    tree, covering NoPrivacy and the privacy schemes, all four
-    replacement policies, every caching strategy, a small-timeout
-    retransmission case, and one asserted compiler fallback."""
-    return [
-        TopologyCase("star", "no-privacy", "lru", seed=seed),
-        TopologyCase("star", "uniform", "random", seed=seed),
-        TopologyCase("tree", "exponential", "lfu", seed=seed),
-        # Fixed-delay tree RTT is >= 5.2 ms; a 2.4 ms budget forces
-        # consumer timeouts, PIT expiry, and same-name refetch races.
-        TopologyCase("tree", "no-privacy", "fifo", timeout=2.4, seed=seed),
-        TopologyCase("fig3a_lan", "no-privacy", "lru", seed=seed),
-        TopologyCase("fig3a_lan", "uniform", "lru", seed=seed),
-        TopologyCase("fig3a_lan", "always-delay", "lru", seed=seed),
-        # Strategy × scheme × replacement: every registered caching
-        # strategy, crossed with randomized replacement and the privacy
-        # schemes so strategy and policy draws interleave on one stream
-        # ordering in both engines.
-        TopologyCase("tree", "no-privacy", "lru", caching="lcd", seed=seed),
-        TopologyCase("tree", "uniform", "random", caching="probcache", seed=seed),
-        TopologyCase("tree", "exponential", "lfu", caching="bernoulli", seed=seed),
-        TopologyCase("star", "no-privacy", "fifo", caching="edge", seed=seed),
-        TopologyCase("tree", "always-delay", "lru", caching="cl4m", seed=seed),
-        TopologyCase("fig3a_lan", "uniform", "lru", caching="bernoulli", seed=seed),
-        TopologyCase("fat_tree", "uniform", "lru", caching="lcd", seed=seed),
-        TopologyCase("fat_tree", "no-privacy", "random", caching="probcache", seed=seed),
-        TopologyCase("fat_tree", "exponential", "lru", caching="cl4m", seed=seed),
-        # Multicast forwarding is outside the kernel's subset: the case
-        # must *fall back* transparently, not diverge (the tree has one
-        # upstream per prefix, so multicast forwards identically).
-        TopologyCase(
-            "tree",
-            "no-privacy",
-            "lru",
-            caching="lcd",
-            forwarding="multicast",
-            expect_fallback=True,
-            seed=seed,
-        ),
-    ]
-
-
-def _topology_scripts(
-    consumer_names: Sequence[str], case: TopologyCase, universe: int
-) -> List[ConsumerScript]:
-    """Deterministic interleaved workload with a fixed fraction of
-    privacy-marked fetches (no RNG draws in the workload itself)."""
-    period = case.private_period
-    return [
-        ConsumerScript(
-            consumer=name,
-            steps=tuple(
-                FetchStep(
-                    f"{_TOPO_PREFIX}/obj-{(i * 3 + j) % universe}",
-                    timeout=case.timeout,
-                    private=(period > 0 and (i + j) % period == 0),
-                )
-                for i in range(case.requests_per_consumer)
-            ),
-        )
-        for j, name in enumerate(consumer_names)
-    ]
-
-
-def _build_topology_case(
-    case: TopologyCase,
-) -> Tuple[Network, List[ConsumerScript]]:
-    """Build a **fresh** network + scripts for ``case``.
-
-    Called once per engine: schemes and jittery links are RNG-stateful,
-    so sharing a network between runs would desynchronize the second run
-    and report a false mismatch (same rule as :func:`_run_case`).
-    """
-    scheme_n = 0
-
-    def scheme():
-        # Distinct instance per router (the batch compiler rejects shared
-        # scheme objects), deterministic per (case seed, router ordinal).
-        nonlocal scheme_n
-        scheme_n += 1
-        return build_scheme(case.scheme, seed=case.seed * 101 + scheme_n)
-
-    if case.topology == "star":
-        net = Network(rng=RngRegistry(case.seed))
-        net.add_router(
-            "R",
-            capacity=case.cache_capacity,
-            scheme=scheme(),
-            policy=case.policy,
-            strategy=case.forwarding,
-            caching=case.caching,
-        )
-        net.add_producer("P", _TOPO_PREFIX)
-        net.connect(
-            "R", "P", LogNormalDelay(base=1.0, tail_scale=0.7, sigma=0.8)
-        )
-        net.add_route("R", _TOPO_PREFIX, "P")
-        names = []
-        for j in range(4):
-            name = f"C{j}"
-            net.add_consumer(name)
-            net.connect(
-                name,
-                "R",
-                GaussianJitterDelay(base=1.8, jitter_std=0.12, floor=1.5),
-            )
-            names.append(name)
-        return net, _topology_scripts(names, case, universe=12)
-
-    if case.topology == "tree":
-        net = Network(rng=RngRegistry(case.seed))
-        net.add_producer("P", _TOPO_PREFIX, processing_delay=0.4)
-        net.add_router(
-            "R0",
-            capacity=case.cache_capacity,
-            scheme=scheme(),
-            policy=case.policy,
-            processing_delay=0.2,
-            strategy=case.forwarding,
-            caching=case.caching,
-        )
-        net.connect("R0", "P", FixedDelay(1.0))
-        net.add_route("R0", _TOPO_PREFIX, "P")
-        names: List[str] = []
-        for a in range(2):
-            leaf = f"R1-{a}"
-            net.add_router(
-                leaf,
-                capacity=case.cache_capacity,
-                scheme=scheme(),
-                policy=case.policy,
-                strategy=case.forwarding,
-                caching=case.caching,
-            )
-            net.connect(leaf, "R0", FixedDelay(0.5))
-            net.add_route(leaf, _TOPO_PREFIX, "R0")
-            for c in range(2):
-                name = f"C{a}{c}"
-                net.add_consumer(name)
-                net.connect(name, leaf, FixedDelay(0.3))
-                names.append(name)
-        return net, _topology_scripts(names, case, universe=10)
-
-    if case.topology == "fig3a_lan":
-        topo = local_lan(
-            seed=case.seed,
-            scheme=scheme(),
-            cache_capacity=case.cache_capacity,
-            caching=case.caching,
-        )
-        names = ["U", "Adv"]
-        return topo.network, _topology_scripts(names, case, universe=8)
-
-    if case.topology == "fat_tree":
-        topo = fat_tree(
-            seed=case.seed,
-            scheme=scheme(),
-            cache_capacity=case.cache_capacity,
-            caching=case.caching,
-            policy=case.policy,
-        )
-        names = ["U", "Adv"]
-        return topo.network, _topology_scripts(names, case, universe=16)
-
-    raise ValueError(
-        f"unknown topology {case.topology!r}; "
-        "choose from 'star', 'tree', 'fig3a_lan', 'fat_tree'"
-    )
-
-
-@dataclass
-class TopologyCaseResult:
-    """Outcome of one cross-checked topology configuration."""
-
-    case: TopologyCase
-    oracle: TopologyObservables
-    batch: TopologyObservables
-    mismatches: List[str]
-
-    @property
-    def ok(self) -> bool:
-        """True when the two engines agreed bit-for-bit."""
-        return not self.mismatches
-
-
-@dataclass
-class TopologyDifferentialReport:
-    """All case results of one topology differential run."""
-
-    results: List[TopologyCaseResult]
-
-    @property
-    def ok(self) -> bool:
-        """True when every configuration agreed."""
-        return all(r.ok for r in self.results)
-
-    @property
-    def failures(self) -> List[TopologyCaseResult]:
-        """The disagreeing configurations."""
-        return [r for r in self.results if not r.ok]
-
-    def summary(self) -> str:
-        """One line per case, pass/fail."""
-        lines = []
-        for r in self.results:
-            status = "ok" if r.ok else "MISMATCH " + "; ".join(r.mismatches)
-            lines.append(f"{r.case.label}: {status}")
-        return "\n".join(lines)
-
-
-def validate_topology_differential(
-    cases: Optional[Sequence[TopologyCase]] = None,
-    seed: int = 0,
-) -> TopologyDifferentialReport:
-    """Cross-check the reference engine vs the batch kernel over whole
-    topologies: delivery counts, per-consumer RTT streams, per-link
-    packet tallies, per-router counters and ``stats_summary``, event
-    counts, and the simulated end time must all be bit-identical.
-
-    Each engine gets a freshly built (network, scripts) pair per case.
-    The batch leg goes through :func:`repro.sim.batch.kernel.run_scripts_batch`
-    directly — a topology that cannot compile is a case *failure* here,
-    not a silent fallback (that transparency belongs to ``run_scripts``).
-    Cases with :attr:`TopologyCase.expect_fallback` invert that: their
-    batch leg runs ``run_scripts(kernel="auto")`` and the case fails
-    unless the compiler refused (engine recorded as ``"reference"``) while
-    the observables still match the oracle leg.
-    """
-    from repro.sim.batch import run_scripts
-    from repro.sim.batch.kernel import run_scripts_batch
-
-    if cases is None:
-        cases = default_topology_cases(seed=seed)
-    results: List[TopologyCaseResult] = []
-    for case in cases:
-        net, scripts = _build_topology_case(case)
-        oracle = run_scripts_reference(net, scripts)
-        net, scripts = _build_topology_case(case)
-        if case.expect_fallback:
-            batch = run_scripts(net, scripts, kernel="auto")
-            mismatches = diff_observables(oracle, batch)
-            if batch.kernel != "reference":
-                mismatches.append(
-                    f"expected a transparent compiler fallback but the "
-                    f"case ran on the {batch.kernel!r} engine"
-                )
-        else:
-            batch = run_scripts_batch(net, scripts)
-            mismatches = diff_observables(oracle, batch)
-        results.append(
-            TopologyCaseResult(
-                case=case,
-                oracle=oracle,
-                batch=batch,
-                mismatches=mismatches,
-            )
-        )
-    return TopologyDifferentialReport(results=results)
-
-
-# ======================================================================
 # Streaming differential: stream→shards→replay vs generate→compile→replay
 # ======================================================================
 @dataclass(frozen=True)
@@ -606,14 +288,15 @@ def validate_streaming_differential(
     * **simulator observables** — the packet simulator driven from the
       streaming workload vs from its materialized twin through the same
       :func:`~repro.sim.workload_driver.scripts_from_workload` driver:
-      identical scripts and identical :class:`TopologyObservables`.
+      identical scripts and identical
+      :class:`~repro.sim.script.TopologyObservables`.
 
     Every leg gets freshly built scheme/marking instances (both are
     RNG-stateful).
     """
     import tempfile
 
-    from repro.sim.batch.script import run_scripts_reference
+    from repro.sim.script import diff_observables, run_scripts_reference
     from repro.sim.workload_driver import scripts_from_workload
     from repro.workload.sharded import compile_stream
     from repro.workload.streaming import TraceWorkload
@@ -700,7 +383,11 @@ def validate_streaming_differential(
     obs_stream = run_scripts_reference(
         _star_edge_network(seed, consumers), scripts_stream
     )
-    mismatches.extend(diff_observables(obs_mat, obs_stream))
+    mismatches.extend(
+        diff_observables(
+            obs_mat, obs_stream, labels=("materialized", "streamed")
+        )
+    )
     if obs_stream.total_delivered == 0:
         mismatches.append("streaming simulator leg delivered nothing")
     results.append(
