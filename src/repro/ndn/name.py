@@ -114,17 +114,22 @@ class Name:
         cached = cls._parse_cache.get(uri)
         if cached is not None:
             return cached
-        if uri == "/":
-            name = cls._intern_tuple(())
-        else:
-            if not uri.startswith("/"):
-                raise NameError_(f"name URI must start with '/': {uri!r}")
-            parts = uri[1:].split("/")
-            if any(part == "" for part in parts):
-                raise NameError_(f"empty component in name URI: {uri!r}")
-            name = cls._intern_tuple(cls(parts)._components)
+        name = cls._intern_tuple(cls.split_uri(uri))
         cls._parse_cache[uri] = name
         return name
+
+    @staticmethod
+    def split_uri(uri: str) -> Tuple[str, ...]:
+        """The components of a URI, validated exactly as :meth:`parse`
+        validates them, without building or interning a name."""
+        if uri == "/":
+            return ()
+        if not uri.startswith("/"):
+            raise NameError_(f"name URI must start with '/': {uri!r}")
+        parts = tuple(uri[1:].split("/"))
+        if "" in parts:
+            raise NameError_(f"empty component in name URI: {uri!r}")
+        return parts
 
     @classmethod
     def root(cls) -> "Name":

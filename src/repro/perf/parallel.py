@@ -88,6 +88,7 @@ from repro.workload.sharded import (
     ShardedCompiledTrace,
     ShardIntegrityError,
     compile_stream,
+    escape_uri,
 )
 from repro.workload.streaming import TraceWorkload
 from repro.workload.trace import Trace
@@ -274,15 +275,18 @@ def _config_key(config: IrcacheConfig, shard_size: int = DEFAULT_SHARD_SIZE) -> 
 def _trace_key(trace: Trace) -> str:
     """Content fingerprint of an ad-hoc trace.
 
-    Hashes the compiled arrays at full precision (content ids, float64
-    times, users) and the name table in id order, so traces differing
-    in one timestamp, one user or one name never share a key.
+    Hashes the compiled columns at full precision (content ids, float64
+    times, users) and the name table in id order, escaped as the shard
+    name table stores it, so traces differing in one timestamp, one user
+    or one name never share a key.
     """
     compiled = trace.compile()
     digest = hashlib.sha256()
-    for column in (compiled.ids, compiled.times, compiled.users):
-        digest.update(np.ascontiguousarray(column).tobytes())
-    digest.update("\n".join(map(str, compiled.names)).encode("utf-8"))
+    for shard in compiled.iter_shards():
+        for column in (shard.ids, shard.times, shard.users):
+            digest.update(np.ascontiguousarray(column).tobytes())
+    uris = map(escape_uri, compiled.iter_uris())
+    digest.update("\n".join(uris).encode("utf-8"))
     return digest.hexdigest()[:16]
 
 

@@ -1,63 +1,101 @@
-"""Interned (compiled) traces: the fast-replay input format.
+"""Compiled traces: the one fast-replay input type.
 
 A :class:`~repro.workload.trace.Trace` stores one :class:`Request` object
 per request, keyed by hierarchical :class:`~repro.ndn.name.Name`s — ideal
 for inspection, slow to replay.  Compiling a trace interns every distinct
 name to a dense ``int32`` content id **once**, after which the replay
 kernel (:mod:`repro.workload.fast_replay`) and the sweep runner
-(:mod:`repro.perf.parallel`) work entirely on flat arrays:
+(:mod:`repro.perf.parallel`) work entirely on flat arrays.
 
-* ``ids[i]``   — content id of request ``i`` (dense, 0..n_names-1, in
-  first-appearance order),
+A :class:`CompiledTrace` is a name table (``names[content_id]``, in
+first-appearance order) plus an ordered run of :class:`TraceShard`s, each
+holding the columns of consecutive requests:
+
+* ``ids[i]``   — content id of request ``i`` (dense, 0..n_names-1),
 * ``times[i]`` — request timestamp in ms,
 * ``users[i]`` — requesting user id,
+* ``occurrence[i]`` — how many earlier requests asked for the same id
+  (the ``request_index`` the reference replay hands to
+  :meth:`MarkingRule.is_private`),
 * ``first_occurrence[i]`` — True iff request ``i`` is the first request
-  for its content id (the compulsory-miss positions; their count is the
-  unique-object count).
+  for its content id (the compulsory-miss positions).
 
-The compiled form is cached on the trace (see :meth:`Trace.compile`), so
-sweeping S schemes × C cache sizes pays the interning cost once, not
-S × C times.
+:func:`compile_trace` returns one in-RAM shard and is memoized on the
+trace (see :meth:`Trace.compile`), so sweeping S schemes × C cache sizes
+pays the interning cost once, not S × C times.
+:class:`~repro.workload.sharded.ShardedCompiledTrace` is the same type
+over memory-mapped on-disk shards; consumers read only ``names``,
+``n_names``, :meth:`~CompiledTrace.iter_shards`,
+:meth:`~CompiledTrace.iter_uris` and :meth:`~CompiledTrace.to_trace`,
+so they never need to know which one they hold.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterator, List, Sequence
 
 import numpy as np
 
 from repro.ndn.name import Name
+from repro.workload.trace import Request, Trace
 
 
-@dataclass(frozen=True, eq=False)
-class CompiledTrace:
-    """A trace interned to dense integer content ids (replay fast path)."""
+@dataclass(frozen=True)
+class TraceShard:
+    """The columns of one run of consecutive requests."""
 
-    #: Content id per request, in trace order (int32).
-    ids: np.ndarray
-    #: Request timestamps in ms, in trace order (float64).
-    times: np.ndarray
-    #: Requesting user per request (int32).
-    users: np.ndarray
-    #: ``names[content_id]`` -> the interned :class:`Name`.
-    names: Tuple[Name, ...]
-    #: True at the first request of each content id (compulsory misses).
-    first_occurrence: np.ndarray
-    #: Lazily computed per-request occurrence index (see property).
-    _occurrence_index: List[Optional[np.ndarray]] = field(
-        default_factory=lambda: [None], repr=False, compare=False
-    )
-    #: Per-process memo of content-marking bitmaps (rule key -> per-name
-    #: bool array), filled by :mod:`repro.workload.fast_replay`.
-    marking_bitmaps: Dict[tuple, np.ndarray] = field(
-        default_factory=dict, repr=False, compare=False
-    )
+    ids: np.ndarray  #: int32
+    times: np.ndarray  #: float64
+    users: np.ndarray  #: int32
+    occurrence: np.ndarray  #: int32
+    first_occurrence: np.ndarray  #: bool
 
-    @property
-    def n_requests(self) -> int:
-        """Number of requests in the trace."""
+    def __len__(self) -> int:
         return int(self.ids.shape[0])
+
+    def release(self) -> None:
+        """Drop a memory-mapped shard's pages (``madvise(MADV_DONTNEED)``).
+
+        Called by streaming consumers after a shard is replayed so peak
+        RSS stays bounded by one resident shard.  A no-op for in-RAM
+        arrays; best-effort on platforms without madvise, which simply
+        rely on the VM to reclaim cold pages.
+        """
+        import mmap as _mmap
+
+        advice = getattr(_mmap, "MADV_DONTNEED", None)
+        if advice is None:  # pragma: no cover - platform fallback
+            return
+        for array in (
+            self.ids, self.times, self.users, self.occurrence,
+            self.first_occurrence,
+        ):
+            source = getattr(array, "_mmap", None)
+            if source is not None:
+                try:
+                    source.madvise(advice)
+                except (ValueError, OSError):  # pragma: no cover
+                    pass
+
+
+class CompiledTrace:
+    """A trace interned to dense content ids: a name table plus shards."""
+
+    def __init__(
+        self,
+        names: Sequence[Name],
+        n_requests: int,
+        shards: Sequence[TraceShard] = (),
+    ) -> None:
+        #: ``names[content_id]`` -> the interned :class:`Name`.
+        self.names = names
+        #: Number of requests across all shards.
+        self.n_requests = n_requests
+        self._shards = tuple(shards)
+        #: Per-process memo of content-marking bitmaps (rule key ->
+        #: per-name bool array), filled by :mod:`repro.workload.fast_replay`.
+        self.marking_bitmaps: Dict[tuple, np.ndarray] = {}
 
     @property
     def n_names(self) -> int:
@@ -71,68 +109,63 @@ class CompiledTrace:
             return 0.0
         return 1.0 - self.n_names / self.n_requests
 
-    @property
-    def occurrence_index(self) -> np.ndarray:
-        """Per-request running count of prior requests for the same id.
+    def iter_shards(self) -> Iterator[TraceShard]:
+        """The shards, in request order."""
+        return iter(self._shards)
 
-        ``occurrence_index[i] == k`` means request ``i`` is the (k+1)-th
-        request for its content — exactly the ``request_index`` the
-        reference replay hands to :meth:`MarkingRule.is_private`.
-        Computed on first use (vectorized) and cached.
+    def iter_uris(self) -> Iterator[str]:
+        """``str(names[content_id])`` for every content id, in id order."""
+        return map(str, self.names)
+
+    def to_trace(self) -> Trace:
+        """Rebuild the exact :class:`Trace` this was compiled from.
+
+        Names, full-precision times and users are all stored, so the
+        result replays through the reference :func:`replay` exactly as
+        the source trace does.  O(n_requests) in RAM — for the oracle
+        path, not for replay at scale.
         """
-        cached = self._occurrence_index[0]
-        if cached is None:
-            cached = _occurrence_index(self.ids, self.n_names)
-            self._occurrence_index[0] = cached
-        return cached
+        names = list(self.names)
+        trace = Trace()
+        for shard in self.iter_shards():
+            for cid, time, user in zip(
+                shard.ids.tolist(), shard.times.tolist(), shard.users.tolist()
+            ):
+                trace.append(Request(time=time, user=user, name=names[cid]))
+        return trace
 
 
-def _occurrence_index(ids: np.ndarray, n_names: int) -> np.ndarray:
-    """Vectorized per-id running occurrence counter."""
-    n = ids.shape[0]
-    if n == 0:
-        return np.zeros(0, dtype=np.int32)
-    order = np.argsort(ids, kind="stable")
-    sorted_ids = ids[order]
-    # Start offset of each id-run within the stable sort.
-    run_start = np.zeros(n, dtype=np.int64)
-    new_run = np.empty(n, dtype=bool)
-    new_run[0] = True
-    np.not_equal(sorted_ids[1:], sorted_ids[:-1], out=new_run[1:])
-    run_start[new_run] = np.flatnonzero(new_run)
-    np.maximum.accumulate(run_start, out=run_start)
-    occurrence = np.empty(n, dtype=np.int32)
-    occurrence[order] = (np.arange(n, dtype=np.int64) - run_start).astype(np.int32)
-    return occurrence
-
-
-def compile_trace(trace: "Trace") -> CompiledTrace:  # noqa: F821
-    """Intern ``trace`` into a :class:`CompiledTrace`.
+def compile_trace(trace: Trace) -> CompiledTrace:
+    """Intern ``trace`` into a one-shard, in-RAM :class:`CompiledTrace`.
 
     Prefer :meth:`repro.workload.trace.Trace.compile`, which memoizes the
     result on the trace object.
     """
     intern: Dict[Name, int] = {}
     names: List[Name] = []
+    counts: List[int] = []  # requests so far per content id
     n = len(trace)
     ids = np.empty(n, dtype=np.int32)
     times = np.empty(n, dtype=np.float64)
     users = np.empty(n, dtype=np.int32)
-    first = np.zeros(n, dtype=bool)
+    occurrence = np.empty(n, dtype=np.int32)
     setdefault = intern.setdefault
     for i, request in enumerate(trace):
         name = request.name
         cid = setdefault(name, len(names))
         if cid == len(names):
             names.append(name)
-            first[i] = True
+            counts.append(0)
         ids[i] = cid
         times[i] = request.time
         users[i] = request.user
-    return CompiledTrace(
+        occurrence[i] = counts[cid]
+        counts[cid] += 1
+    shard = TraceShard(
         ids=ids,
         times=times,
         users=users,
-        names=tuple(names),
-        first_occurrence=first,
+        occurrence=occurrence,
+        first_occurrence=occurrence == 0,
     )
+    return CompiledTrace(tuple(names), n, (shard,))

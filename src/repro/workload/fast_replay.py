@@ -23,17 +23,20 @@ magnitude faster:
   :class:`~repro.core.schemes.base.SchemeKernel` state machines that
   consume the scheme's RNG in exactly the reference order.
 
-The loop lives in a resumable :class:`_ReplayCore`, so the same code
-replays an in-RAM compiled trace in one span or a
-:class:`~repro.workload.sharded.ShardedCompiledTrace` shard by shard —
-cache/recency/kernel state carries across shards, every observable is
-bit-identical to the in-RAM path, and peak RSS is bounded by one shard.
+Every input is a :class:`~repro.workload.compiled.CompiledTrace` — a
+:class:`Trace` is compiled on first use (memoized), and an on-disk
+:class:`~repro.workload.sharded.ShardedCompiledTrace` is the same type
+over memory-mapped shards.  The loop lives in a resumable
+:class:`_ReplayCore` fed one span per shard, so cache/recency/kernel
+state carries across shards, an in-RAM compilation (one shard) and its
+on-disk twin give bit-identical observables, and peak RSS is bounded by
+one shard.
 
 Schemes that do not provide a kernel (see
 :meth:`CacheScheme.make_kernel`) transparently fall back to the
-reference ``replay()`` on a :class:`Trace` (a sharded trace rebuilds
-its source trace for this), so ``fast_replay`` is safe to call on
-anything but a bare :class:`CompiledTrace`.
+reference ``replay()`` on the exact :class:`Trace` (a compiled trace
+rebuilds it with :meth:`~repro.workload.compiled.CompiledTrace.to_trace`),
+so ``fast_replay`` accepts every input type with every scheme.
 """
 
 from __future__ import annotations
@@ -49,7 +52,6 @@ from repro.ndn.replacement import POLICIES
 from repro.workload.compiled import CompiledTrace
 from repro.workload.marking import ContentMarking, MarkingRule, NoMarking
 from repro.workload.replay import ReplayStats, replay
-from repro.workload.sharded import ShardedCompiledTrace
 from repro.workload.trace import Trace
 
 
@@ -143,23 +145,23 @@ def _bitmap_key(rule: ContentMarking) -> Optional[tuple]:
     return key
 
 
-def _content_bitmap(
-    rule: ContentMarking, trace: Union[CompiledTrace, ShardedCompiledTrace]
-) -> np.ndarray:
+def _content_bitmap(rule: ContentMarking, trace: CompiledTrace) -> np.ndarray:
     """``bitmap[content_id]``: the rule's privacy bit for every name.
 
     Memoized on ``trace`` (per process), so every sweep point replaying
-    the same trace under an equal rule reuses one bitmap.  In-RAM traces
-    ask :meth:`ContentMarking.is_private` per :class:`Name`; sharded ones
-    mark straight off the on-disk name table through
-    :meth:`ContentMarking.is_private_uri`, without building a ``Name``.
+    the same trace under an equal rule reuses one bitmap.  A rule that
+    keeps :class:`ContentMarking`'s own :meth:`~ContentMarking.is_private`
+    (which delegates to :meth:`~ContentMarking.is_private_uri`) marks
+    straight off the URI table, without building a ``Name``; a rule that
+    overrides :meth:`is_private` is asked per :class:`Name`, as the
+    oracle asks it.
     """
     key = _bitmap_key(rule)
     memo = trace.marking_bitmaps
     bitmap = memo.get(key) if key is not None else None
     if bitmap is None:
-        if isinstance(trace, ShardedCompiledTrace):
-            bits = (rule.is_private_uri(uri) for uri in trace.names.iter_uris())
+        if type(rule).is_private is ContentMarking.is_private:
+            bits = map(rule.is_private_uri, trace.iter_uris())
         else:
             bits = (rule.is_private(name, 0) for name in trace.names)
         bitmap = np.fromiter(bits, dtype=bool, count=trace.n_names)
@@ -169,40 +171,12 @@ def _content_bitmap(
     return bitmap
 
 
-def compile_private_flags(
-    rule: MarkingRule, compiled: CompiledTrace
-) -> List[bool]:
-    """Precompute the consumer privacy bit for every request.
-
-    Bit-identical to calling ``rule.is_private(name, index)`` per request:
-    per-content rules are evaluated once per *unique* name (memoized on
-    the compiled trace) and broadcast; index-dependent rules (e.g.
-    :class:`RequestMarking`, whose RNG draws must happen in request
-    order) are evaluated per request with the vectorized occurrence index.
-    """
-    n = compiled.n_requests
-    if isinstance(rule, NoMarking):
-        return [False] * n
-    if isinstance(rule, ContentMarking):
-        return _content_bitmap(rule, compiled)[compiled.ids].tolist()
-    names = compiled.names
-    ids = compiled.ids.tolist()
-    if rule.uses_request_index:
-        occurrence = compiled.occurrence_index.tolist()
-        is_private = rule.is_private
-        return [is_private(names[cid], occurrence[i]) for i, cid in enumerate(ids)]
-    is_private = rule.is_private
-    return [is_private(names[cid], 0) for cid in ids]
-
-
 class _ReplayCore:
     """The replay state machine, resumable across id spans.
 
-    One instance replays one trace: construct, feed each span of
-    (content ids, privacy flags) in order through :meth:`run_span`, read
-    :meth:`stats`.  The in-RAM path feeds a single span; the sharded path
-    feeds one span per shard — the loop body is the same object code, so
-    the two paths cannot diverge.
+    One instance replays one trace: construct, feed the (content ids,
+    privacy flags) span of each shard in order through :meth:`run_span`,
+    read :meth:`stats`.
     """
 
     __slots__ = (
@@ -396,48 +370,49 @@ class _ReplayCore:
         )
 
 
-def _sharded_spans(
-    rule: MarkingRule, sharded: ShardedCompiledTrace
+def _spans(
+    rule: MarkingRule, trace: CompiledTrace
 ) -> Iterator[Tuple[List[int], Sequence[bool]]]:
-    """Yield (ids, privacy flags) per shard, bit-identical to the in-RAM
-    :func:`compile_private_flags` broadcast over the whole trace."""
+    """Yield (content ids, privacy flags) per shard, in request order.
+
+    Bit-identical to calling ``rule.is_private(name, index)`` per request:
+    per-content rules are evaluated once per *unique* name (memoized on
+    the trace) and broadcast; index-dependent rules (e.g.
+    :class:`RequestMarking`, whose RNG draws must happen in request
+    order) get each request's stored occurrence index.
+    """
     per_name = (
-        _content_bitmap(rule, sharded) if isinstance(rule, ContentMarking) else None
+        _content_bitmap(rule, trace) if isinstance(rule, ContentMarking) else None
     )
-    if not isinstance(rule, (NoMarking, ContentMarking)):
-        # Generic name-dependent rules need real Name objects per
-        # request; materialize the vocabulary once (O(n_names), still
-        # independent of trace length).  Name-blind rules (e.g.
-        # RequestMarking's per-request coin) skip even that.
-        names: Sequence = list(sharded.names) if rule.uses_name else ()
-        is_private = rule.is_private
-    else:
-        names = ()
-        is_private = None
-    for shard in sharded.iter_shards():
+    # Generic name-dependent rules need real Name objects per request;
+    # materialize the vocabulary once (O(n_names), independent of trace
+    # length).  Name-blind rules (e.g. RequestMarking) skip even that.
+    names = list(trace.names) if per_name is None and rule.uses_name else None
+    is_private = rule.is_private
+    for shard in trace.iter_shards():
         ids = shard.ids.tolist()
         if isinstance(rule, NoMarking):
             flags: Sequence[bool] = [False] * len(ids)
         elif per_name is not None:
             flags = per_name[shard.ids].tolist()
-        elif rule.uses_request_index:
-            occurrence = shard.occurrence.tolist()
-            if rule.uses_name:
-                flags = [
-                    is_private(names[cid], occurrence[i])
-                    for i, cid in enumerate(ids)
-                ]
-            else:
-                flags = [is_private(None, occ) for occ in occurrence]
-        elif rule.uses_name:
-            flags = [is_private(names[cid], 0) for cid in ids]
         else:
-            flags = [is_private(None, 0) for _ in ids]
+            occurrence = (
+                shard.occurrence.tolist()
+                if rule.uses_request_index
+                else [0] * len(ids)
+            )
+            if names is None:
+                flags = [is_private(None, occ) for occ in occurrence]
+            else:
+                flags = [
+                    is_private(names[cid], occ)
+                    for cid, occ in zip(ids, occurrence)
+                ]
         yield ids, flags
 
 
 def fast_replay(
-    trace: Union[Trace, CompiledTrace, ShardedCompiledTrace],
+    trace: Union[Trace, CompiledTrace],
     scheme: Optional[CacheScheme] = None,
     marking: Optional[MarkingRule] = None,
     cache_size: Optional[int] = None,
@@ -450,10 +425,9 @@ def fast_replay(
 
     Drop-in replacement for :func:`repro.workload.replay.replay` — same
     parameters, same :class:`ReplayStats`, bit for bit.  Accepts a
-    :class:`Trace` (compiled on first use, memoized), an
-    already-compiled :class:`CompiledTrace`, or an on-disk
-    :class:`~repro.workload.sharded.ShardedCompiledTrace` (replayed
-    shard by shard at bounded RSS, same observables).
+    :class:`Trace` (compiled on first use, memoized) or any
+    :class:`CompiledTrace`, in RAM or on disk (an on-disk one is
+    replayed shard by shard at bounded RSS, same observables).
     """
     if policy not in POLICIES:
         raise CacheError(
@@ -470,14 +444,9 @@ def fast_replay(
     kernel = scheme.make_kernel(compiled.names)
     if kernel is None:
         # Unknown scheme type: stay correct by running the oracle path
-        # (a sharded trace rebuilds the trace it was compiled from).
-        if isinstance(trace, CompiledTrace):
-            raise ValueError(
-                f"scheme {type(scheme).__name__} provides no fast kernel and "
-                f"no Trace is available for the reference fallback"
-            )
+        # on the exact trace (a compiled trace rebuilds it).
         return replay(
-            trace.to_trace() if isinstance(trace, ShardedCompiledTrace) else trace,
+            trace if isinstance(trace, Trace) else compiled.to_trace(),
             scheme=scheme,
             marking=rule,
             cache_size=cache_size,
@@ -491,9 +460,6 @@ def fast_replay(
         kernel, compiled.n_names, cache_size, policy, fetch_delay, seed,
         refresh_delayed_hits,
     )
-    if isinstance(compiled, ShardedCompiledTrace):
-        for ids, flags in _sharded_spans(rule, compiled):
-            core.run_span(ids, flags)
-    else:
-        core.run_span(compiled.ids.tolist(), compile_private_flags(rule, compiled))
+    for ids, flags in _spans(rule, compiled):
+        core.run_span(ids, flags)
     return core.stats()

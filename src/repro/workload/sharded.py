@@ -1,16 +1,22 @@
 """Mmap-sharded compiled traces: the on-disk fast-replay format at scale.
 
 :func:`compile_stream` lowers any :class:`~repro.workload.streaming.Workload`
-to fixed-size shards of the same dense arrays a
-:class:`~repro.workload.compiled.CompiledTrace` holds in RAM — ids,
-times, users, first-occurrence flags, plus the per-request occurrence
-index computed in the same single streaming pass — and writes them as
-``.npy`` files under one directory, with a JSON manifest carrying the
-global name intern table (``names.tsv``, one URI per content id, in
-first-appearance order) and a sha256 per file.
+to fixed-size shards of the columns a
+:class:`~repro.workload.compiled.CompiledTrace` is made of — ids, times,
+users, occurrence index and first-occurrence flags, all computed in one
+streaming pass — and writes them as ``.npy`` files under one directory,
+with a JSON manifest carrying the global name intern table
+(``names.tsv``, one escaped URI per content id, in first-appearance
+order) and a sha256 per file.
+
+:class:`ShardedCompiledTrace` *is* a :class:`CompiledTrace` whose shards
+are memory-mapped from that directory, so every consumer reads it
+through the same interface as an in-RAM compilation.  What only an
+on-disk trace has — the manifest, :meth:`~ShardedCompiledTrace.verify`,
+:meth:`~ShardedCompiledTrace.load_shard`, ``path`` — lives here.
 
 The contract with the in-RAM compiler is **bit-equality**: concatenating
-a trace's shards reproduces ``compile_trace(trace)``'s arrays exactly —
+a trace's shards reproduces ``compile_trace(trace)``'s columns exactly —
 same dtypes, same first-appearance intern order, same occurrence index
 (asserted by the property suite in ``tests/workload/test_sharded.py``).
 That is what lets ``stream → shards → replay`` equal
@@ -29,19 +35,18 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+import re
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.ndn.name import Name
-from repro.workload.compiled import CompiledTrace, _occurrence_index
+from repro.workload.compiled import CompiledTrace, TraceShard
 from repro.workload.streaming import Workload
-from repro.workload.trace import Request, Trace
 
 FORMAT_NAME = "repro-sharded-trace"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2  # 2: escaped name table
 MANIFEST_FILE = "manifest.json"
 NAMES_FILE = "names.tsv"
 
@@ -68,6 +73,40 @@ def _file_sha256(path: Path) -> str:
         for block in iter(lambda: handle.read(1 << 20), b""):
             digest.update(block)
     return digest.hexdigest()
+
+
+def _occurrence_index(ids: np.ndarray, n_names: int) -> np.ndarray:
+    """Vectorized per-id running occurrence counter."""
+    n = ids.shape[0]
+    if n == 0:
+        return np.zeros(0, dtype=np.int32)
+    order = np.argsort(ids, kind="stable")
+    sorted_ids = ids[order]
+    # Start offset of each id-run within the stable sort.
+    run_start = np.zeros(n, dtype=np.int64)
+    new_run = np.empty(n, dtype=bool)
+    new_run[0] = True
+    np.not_equal(sorted_ids[1:], sorted_ids[:-1], out=new_run[1:])
+    run_start[new_run] = np.flatnonzero(new_run)
+    np.maximum.accumulate(run_start, out=run_start)
+    occurrence = np.empty(n, dtype=np.int32)
+    occurrence[order] = (np.arange(n, dtype=np.int64) - run_start).astype(np.int32)
+    return occurrence
+
+
+def escape_uri(uri: str) -> str:
+    """A URI as one name-table line: backslashes and line feeds escaped,
+    so a name component holding a line break cannot split its entry."""
+    return uri.replace("\\", "\\\\").replace("\n", "\\n")
+
+
+_ESCAPED = re.compile(r"\\(.)", re.DOTALL)
+
+
+def _unescape_uri(line: str) -> str:
+    if "\\" not in line:
+        return line
+    return _ESCAPED.sub(lambda m: "\n" if m.group(1) == "n" else m.group(1), line)
 
 
 def _shard_file(index: int, field: str) -> str:
@@ -172,7 +211,7 @@ def compile_stream(
     # amortized-doubling steps as the vocabulary is discovered.
     occ_counts = np.zeros(max(1024, int(workload.n_names) or 1024), dtype=np.int64)
 
-    with (out / NAMES_FILE).open("w", encoding="utf-8") as names_out:
+    with (out / NAMES_FILE).open("w", encoding="utf-8", newline="\n") as names_out:
         for block in workload.iter_blocks(chunk_size):
             keys = block.keys
             if key_to_cid is not None:
@@ -192,7 +231,7 @@ def compile_stream(
                 appearance = np.argsort(first_idx, kind="stable")
                 new_keys = uniq[appearance]
                 for key in new_keys.tolist():
-                    names_out.write(workload.uri_of(key) + "\n")
+                    names_out.write(escape_uri(workload.uri_of(key)) + "\n")
                 fresh = np.arange(
                     n_names, n_names + len(new_keys), dtype=np.int64
                 )
@@ -248,49 +287,10 @@ def compile_stream(
     return ShardedCompiledTrace.open(out)
 
 
-@dataclass(frozen=True)
-class TraceShard:
-    """One memory-mapped slice of a sharded trace (CompiledTrace columns)."""
-
-    index: int
-    start: int
-    ids: np.ndarray
-    times: np.ndarray
-    users: np.ndarray
-    occurrence: np.ndarray
-    first_occurrence: np.ndarray
-
-    def __len__(self) -> int:
-        return int(self.ids.shape[0])
-
-    def release(self) -> None:
-        """Drop this shard's pages (``madvise(MADV_DONTNEED)``).
-
-        Called by streaming consumers after a shard is replayed so peak
-        RSS stays bounded by one resident shard.  Best-effort: platforms
-        without madvise simply rely on the VM to reclaim cold pages.
-        """
-        import mmap as _mmap
-
-        advice = getattr(_mmap, "MADV_DONTNEED", None)
-        if advice is None:  # pragma: no cover - platform fallback
-            return
-        for array in (
-            self.ids, self.times, self.users, self.occurrence,
-            self.first_occurrence,
-        ):
-            source = getattr(array, "_mmap", None)
-            if source is not None:
-                try:
-                    source.madvise(advice)
-                except (ValueError, OSError):  # pragma: no cover
-                    pass
-
-
 class LazyNameTable(Sequence[Name]):
     """``names[content_id]`` over the on-disk intern table, loaded lazily.
 
-    ``len()`` and iteration stream the TSV without materializing (what
+    ``len()`` and iteration stream the file without materializing (what
     the replay kernels use); random access loads the URI list once and
     keeps it (what generic marking rules need).  Name objects are built
     outside the global intern pool, so walking a million-name table does
@@ -306,13 +306,12 @@ class LazyNameTable(Sequence[Name]):
         return self._count
 
     def iter_uris(self) -> Iterator[str]:
-        with self._path.open("r", encoding="utf-8") as handle:
+        with self._path.open("r", encoding="utf-8", newline="\n") as handle:
             for line in handle:
-                yield line.rstrip("\n")
+                yield _unescape_uri(line.rstrip("\n"))
 
     def __iter__(self) -> Iterator[Name]:
-        for uri in self.iter_uris():
-            yield Name(tuple(uri.split("/")[1:]) if uri != "/" else ())
+        return map(_name, self.iter_uris())
 
     def _load(self) -> List[str]:
         if self._uris is None:
@@ -327,26 +326,28 @@ class LazyNameTable(Sequence[Name]):
     def __getitem__(self, index):  # type: ignore[override]
         uri = self._load()[index]
         if isinstance(index, slice):
-            return [
-                Name(tuple(u.split("/")[1:]) if u != "/" else ()) for u in uri
-            ]
-        return Name(tuple(uri.split("/")[1:]) if uri != "/" else ())
+            return [_name(u) for u in uri]
+        return _name(uri)
 
 
-class ShardedCompiledTrace:
-    """A compiled trace living on disk as mmap'd shards.
+def _name(uri: str) -> Name:
+    return Name(Name.split_uri(uri))
 
-    The streaming twin of :class:`~repro.workload.compiled.CompiledTrace`:
-    same columns, same semantics, but materialized one shard at a time.
-    """
+
+class ShardedCompiledTrace(CompiledTrace):
+    """A compiled trace living on disk as mmap'd shards, one resident at
+    a time (see the module docstring)."""
 
     def __init__(self, path: Path, manifest: dict) -> None:
+        super().__init__(
+            LazyNameTable(
+                path / manifest.get("names_file", NAMES_FILE),
+                int(manifest["n_names"]),
+            ),
+            int(manifest["n_requests"]),
+        )
         self.path = path
         self.manifest = manifest
-        self._names: Optional[LazyNameTable] = None
-        #: Per-process memo of content-marking bitmaps (rule key ->
-        #: per-name bool array), filled by :mod:`repro.workload.fast_replay`.
-        self.marking_bitmaps: Dict[tuple, np.ndarray] = {}
 
     # ------------------------------------------------------------------
     # Open / verify
@@ -395,40 +396,9 @@ class ShardedCompiledTrace:
                 if _file_sha256(path) != expected:
                     raise ShardIntegrityError(f"{path}: checksum mismatch")
 
-    # ------------------------------------------------------------------
-    # CompiledTrace-shaped metadata
-    # ------------------------------------------------------------------
-    @property
-    def n_requests(self) -> int:
-        return int(self.manifest["n_requests"])
-
-    @property
-    def n_names(self) -> int:
-        return int(self.manifest["n_names"])
-
     @property
     def n_shards(self) -> int:
         return len(self.manifest["shards"])
-
-    @property
-    def shard_size(self) -> int:
-        return int(self.manifest.get("shard_size", DEFAULT_SHARD_SIZE))
-
-    @property
-    def max_hit_rate(self) -> float:
-        """1 − unique/total: the unlimited-cache hit-rate ceiling."""
-        if not self.n_requests:
-            return 0.0
-        return 1.0 - self.n_names / self.n_requests
-
-    @property
-    def names(self) -> LazyNameTable:
-        if self._names is None:
-            self._names = LazyNameTable(
-                self.path / self.manifest.get("names_file", NAMES_FILE),
-                self.n_names,
-            )
-        return self._names
 
     # ------------------------------------------------------------------
     # Shard access
@@ -450,8 +420,6 @@ class ShardedCompiledTrace:
                 f"requests, manifest says {meta['count']}"
             )
         return TraceShard(
-            index=meta["index"],
-            start=meta["start"],
             ids=arrays["ids"],
             times=arrays["times"],
             users=arrays["users"],
@@ -459,72 +427,17 @@ class ShardedCompiledTrace:
             first_occurrence=arrays["first"],
         )
 
-    def iter_shards(
-        self, verify: bool = False, release: bool = True
-    ) -> Iterator[TraceShard]:
-        """Yield shards in order, releasing each one's pages afterwards."""
+    def iter_shards(self) -> Iterator[TraceShard]:
+        """Map the shards in order, releasing each one's pages after use."""
         for index in range(self.n_shards):
-            shard = self.load_shard(index, verify=verify)
+            shard = self.load_shard(index)
             try:
                 yield shard
             finally:
-                if release:
-                    shard.release()
+                shard.release()
 
-    # ------------------------------------------------------------------
-    # Interop
-    # ------------------------------------------------------------------
-    def materialize(self) -> CompiledTrace:
-        """Concatenate all shards into an in-RAM :class:`CompiledTrace`.
-
-        For differential tests and small traces — defeats the point at
-        scale.
-        """
-        ids: List[np.ndarray] = []
-        times: List[np.ndarray] = []
-        users: List[np.ndarray] = []
-        occ: List[np.ndarray] = []
-        first: List[np.ndarray] = []
-        for shard in self.iter_shards(release=False):
-            ids.append(np.asarray(shard.ids))
-            times.append(np.asarray(shard.times))
-            users.append(np.asarray(shard.users))
-            occ.append(np.asarray(shard.occurrence))
-            first.append(np.asarray(shard.first_occurrence))
-        compiled = CompiledTrace(
-            ids=np.concatenate(ids) if ids else np.zeros(0, dtype=np.int32),
-            times=(
-                np.concatenate(times) if times else np.zeros(0, dtype=np.float64)
-            ),
-            users=(
-                np.concatenate(users) if users else np.zeros(0, dtype=np.int32)
-            ),
-            names=tuple(self.names),
-            first_occurrence=(
-                np.concatenate(first) if first else np.zeros(0, dtype=bool)
-            ),
-        )
-        compiled._occurrence_index[0] = (
-            np.concatenate(occ) if occ else np.zeros(0, dtype=np.int32)
-        )
-        return compiled
-
-    def to_trace(self) -> Trace:
-        """Rebuild the exact :class:`Trace` these shards were compiled from.
-
-        Names, full-precision times and users are all stored, so the
-        result replays through the reference :func:`replay` exactly as
-        the source trace does.  O(n_requests) in RAM — for the oracle
-        path, not for replay at scale.
-        """
-        names = list(self.names)
-        trace = Trace()
-        for shard in self.iter_shards():
-            for cid, time, user in zip(
-                shard.ids.tolist(), shard.times.tolist(), shard.users.tolist()
-            ):
-                trace.append(Request(time=time, user=user, name=names[cid]))
-        return trace
+    def iter_uris(self) -> Iterator[str]:
+        return self.names.iter_uris()
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (

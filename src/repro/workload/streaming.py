@@ -35,6 +35,7 @@ from typing import Iterable, Iterator, List, Optional, Protocol, Tuple, Union, r
 
 import numpy as np
 
+from repro.ndn.errors import NameError_
 from repro.ndn.name import Name
 from repro.workload.trace import Request, Trace
 
@@ -215,18 +216,17 @@ class TraceWorkload:
     def iter_blocks(
         self, chunk_size: Optional[int] = None
     ) -> Iterator[RequestBlock]:
-        compiled = self._compiled
         step = chunk_size if chunk_size is not None else DEFAULT_CHUNK
         if step < 1:
             raise ValueError(f"chunk_size must be >= 1, got {step}")
-        n = compiled.n_requests
-        for lo in range(0, n, step):
-            hi = min(lo + step, n)
-            yield RequestBlock(
-                times=compiled.times[lo:hi],
-                users=compiled.users[lo:hi].astype(np.int64),
-                keys=compiled.ids[lo:hi].astype(np.int64),
-            )
+        for shard in self._compiled.iter_shards():
+            for lo in range(0, len(shard), step):
+                hi = lo + step
+                yield RequestBlock(
+                    times=shard.times[lo:hi],
+                    users=shard.users[lo:hi].astype(np.int64),
+                    keys=shard.ids[lo:hi].astype(np.int64),
+                )
 
     def __iter__(self) -> Iterator[Request]:
         return iter(self._trace)
@@ -235,11 +235,14 @@ class TraceWorkload:
 class TsvWorkload:
     """Streaming reader for the ``time<TAB>user<TAB>name`` trace format.
 
-    Each iteration re-reads the file; content keys are interned densely
-    in first-appearance order, which is deterministic for a fixed file,
-    so keys are stable across passes.  ``n_requests`` / ``n_names`` start
-    as caller-provided estimates (0 = unknown) and become exact after the
-    first complete pass.
+    :meth:`Trace.load` reads through this class, so both reject the same
+    lines, with a ``path:line`` error: a wrong field count, a negative
+    time or user, or a URI that :meth:`Name.parse` rejects (each new URI
+    is checked once).  Each iteration re-reads the file; content keys are
+    interned densely in first-appearance order, which is deterministic
+    for a fixed file, so keys are stable across passes.  ``n_requests`` /
+    ``n_names`` start as caller-provided estimates (0 = unknown) and
+    become exact after the first complete pass.
     """
 
     def __init__(
@@ -273,8 +276,7 @@ class TsvWorkload:
         return self._uris[key]
 
     def components_of(self, key: int) -> Tuple[str, ...]:
-        uri = self._uris[key]
-        return tuple(uri.split("/")[1:]) if uri != "/" else ()
+        return Name.split_uri(self._uris[key])
 
     def iter_blocks(
         self, chunk_size: Optional[int] = None
@@ -302,11 +304,23 @@ class TsvWorkload:
                 time_str, user_str, uri = parts
                 key = key_of.get(uri)
                 if key is None:
+                    try:
+                        Name.split_uri(uri)
+                    except NameError_ as error:
+                        raise NameError_(
+                            f"{self.path}:{line_number}: {error}"
+                        ) from None
                     key = len(uris)
                     key_of[uri] = key
                     uris.append(uri)
-                times.append(float(time_str))
-                users.append(int(user_str))
+                time, user = float(time_str), int(user_str)
+                if time < 0 or user < 0:
+                    raise ValueError(
+                        f"{self.path}:{line_number}: request time and user "
+                        f"id must be >= 0, got {time_str!r} and {user_str!r}"
+                    )
+                times.append(time)
+                users.append(user)
                 keys.append(key)
                 total += 1
                 if len(times) >= step:

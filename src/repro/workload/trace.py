@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Union
 
-from repro.ndn.name import Name, name_of
+from repro.ndn.name import Name
 
 
 @dataclass(frozen=True, slots=True)
@@ -134,29 +134,15 @@ class Trace:
     @classmethod
     def load(cls, path: Union[str, Path]) -> "Trace":
         """Read a TSV trace written by :meth:`save` (or a real proxy log
-        converted to the same three-column layout)."""
-        source = Path(path)
-        trace = cls()
-        with source.open("r", encoding="utf-8") as handle:
-            for line_number, line in enumerate(handle, start=1):
-                line = line.rstrip("\n")
-                if not line or line.startswith("#"):
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 3:
-                    raise ValueError(
-                        f"{source}:{line_number}: expected 3 tab-separated "
-                        f"fields, got {len(parts)}"
-                    )
-                time_str, user_str, name_str = parts
-                trace.append(
-                    Request(
-                        time=float(time_str),
-                        user=int(user_str),
-                        name=name_of(name_str),
-                    )
-                )
-        return trace
+        converted to the same three-column layout).
+
+        Parsed by :class:`~repro.workload.streaming.TsvWorkload`, so a
+        malformed line raises the same ``path:line`` error here as when
+        the file is streamed.
+        """
+        from repro.workload.streaming import TsvWorkload, iter_requests
+
+        return cls(iter_requests(TsvWorkload(path)))
 
     def head(self, count: int) -> "Trace":
         """A new trace containing only the first ``count`` requests."""

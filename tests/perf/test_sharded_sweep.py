@@ -6,16 +6,19 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.experiments import run_fig5a
+from repro.ndn.name import Name
 from repro.perf.parallel import (
     ReplaySpec,
     _cache_trace_object,
     _config_key,
+    _trace_key,
     ensure_sharded_trace_cached,
     run_replay_sweep,
 )
 from repro.workload.ircache import IrcacheConfig, IrcacheGenerator
 from repro.workload.marking import ContentMarking, RequestMarking
 from repro.workload.sharded import ShardedCompiledTrace
+from repro.workload.trace import Request, Trace
 
 
 CONFIG = IrcacheConfig(requests=6000, users=40, objects=500, sites=8, seed=21)
@@ -96,6 +99,45 @@ def test_sweeps_write_no_tsv_entries(tmp_path):
     assert sorted(path.name.split("-")[0] for path in tmp_path.iterdir()) == [
         "ircache", "trace",
     ]
+
+
+def _with_line_breaks(trace: Trace) -> Trace:
+    """The same requests, every name's first component holding a line
+    feed, and odd-length last components ending in a literal backslash-n."""
+    out = Trace()
+    for request in trace:
+        parts = list(request.name.components)
+        parts[0] += "\nx"
+        if len(parts[-1]) % 2:
+            parts[-1] += "\\n"
+        out.append(Request(request.time, request.user, Name(parts)))
+    return out
+
+
+def test_names_with_line_breaks_independent_of_worker_count(tmp_path):
+    """The shard name table escapes line feeds and backslashes, so a
+    2-worker sweep (shards) marks the same names as the serial sweep
+    (in RAM), and the shards rebuild the exact names."""
+    trace = _with_line_breaks(IrcacheGenerator(CONFIG).generate().head(2000))
+    specs = [
+        ReplaySpec(scheme="uniform", cache_size=size, seed=3,
+                   marking=ContentMarking(0.5))
+        for size in (64, 256)
+    ]
+    serial = run_replay_sweep(specs, trace=trace, workers=1)
+    assert run_replay_sweep(specs, trace=trace, workers=2) == serial
+    assert run_replay_sweep(
+        specs, trace=trace, workers=2, engine="reference"
+    ) == serial
+    sharded = ShardedCompiledTrace.open(_cache_trace_object(trace))
+    assert list(sharded.names) == list(trace.compile().names)
+    # Unescaped, both name tables would read "/a\n/b\n/c".
+    def two(first: Name, second: Name) -> Trace:
+        return Trace([Request(0.0, 0, first), Request(1.0, 0, second)])
+
+    assert _trace_key(two(Name(["a\n", "b"]), Name(["c"]))) != _trace_key(
+        two(Name(["a"]), Name(["b\n", "c"]))
+    )
 
 
 def test_config_key_covers_every_config_field():

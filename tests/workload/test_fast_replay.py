@@ -20,7 +20,7 @@ from repro.core.schemes.naive_threshold import NaiveThresholdScheme
 from repro.core.schemes.no_privacy import NoPrivacyScheme
 from repro.core.schemes.uniform import UniformRandomCache
 from repro.ndn.errors import CacheError
-from repro.workload.compiled import CompiledTrace
+from repro.workload.compiled import CompiledTrace, compile_trace
 from repro.workload.fast_replay import fast_replay
 from repro.workload.ircache import IrcacheConfig, IrcacheGenerator
 from repro.workload.marking import ContentMarking, NoMarking, RequestMarking
@@ -151,8 +151,12 @@ def test_kernelless_scheme_falls_back_to_reference(trace):
         def make_kernel(self, names):
             return None
 
+    expected = replay(trace, scheme=NoPrivacyScheme(), cache_size=100, seed=0)
     stats = fast_replay(trace, scheme=OpaqueScheme(), cache_size=100, seed=0)
-    assert stats == replay(trace, scheme=NoPrivacyScheme(), cache_size=100, seed=0)
-    # The fallback needs Request objects, which a bare CompiledTrace lacks.
-    with pytest.raises(ValueError):
-        fast_replay(trace.compile(), scheme=OpaqueScheme(), cache_size=100)
+    assert stats == expected
+    # A bare compiled trace rebuilds the exact Trace for the fallback.
+    compiled = compile_trace(trace)
+    assert list(compiled.to_trace()) == list(trace)
+    assert fast_replay(
+        compiled, scheme=OpaqueScheme(), cache_size=100, seed=0
+    ) == expected

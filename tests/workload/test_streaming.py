@@ -5,7 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.ndn.errors import NameError_
 from repro.workload.ircache import IrcacheConfig, IrcacheGenerator
+from repro.workload.sharded import compile_stream
 from repro.workload.streaming import (
     RequestBlock,
     TraceWorkload,
@@ -151,14 +153,39 @@ def test_tsv_workload_rejects_malformed_lines(tmp_path):
         list(TsvWorkload(path).iter_blocks())
 
 
+@pytest.mark.parametrize(
+    "line,exc,match",
+    [
+        ("1.0\t2\tfoo/bar", NameError_, "must start with '/'"),
+        ("1.0\t2\t/a//b", NameError_, "empty component"),
+        ("-1.0\t2\t/a", ValueError, ">= 0"),
+        ("1.0\t-2\t/a", ValueError, ">= 0"),
+        ("1.0\t2", ValueError, "3 tab-separated"),
+    ],
+)
+def test_both_tsv_readers_reject_the_same_lines(tmp_path, line, exc, match):
+    """``Trace.load`` and a streamed compile fail on the same malformed
+    line with the same ``path:line`` error, instead of the stream storing
+    a name it cannot rebuild (or failing only later)."""
+    path = tmp_path / "bad.tsv"
+    path.write_text(f"0.0\t1\t/ok\n{line}\n", encoding="utf-8")
+    with pytest.raises(exc, match=match) as loaded:
+        Trace.load(path)
+    with pytest.raises(exc) as streamed:
+        compile_stream(TsvWorkload(path), tmp_path / "shards")
+    assert str(streamed.value) == str(loaded.value)
+    assert str(loaded.value).startswith(f"{path}:2: ")
+
+
 def test_trace_workload_uses_compiled_ids():
     trace = IrcacheGenerator(CONFIG).generate()
     compiled = trace.compile()
+    (shard,) = compiled.iter_shards()
     workload = TraceWorkload(trace)
     assert workload.n_requests == compiled.n_requests
     assert workload.key_space == compiled.n_names
     times, users, keys = _concat(workload.iter_blocks(333))
-    np.testing.assert_array_equal(times, compiled.times)
-    np.testing.assert_array_equal(users, compiled.users)
-    np.testing.assert_array_equal(keys, compiled.ids)
+    np.testing.assert_array_equal(times, shard.times)
+    np.testing.assert_array_equal(users, shard.users)
+    np.testing.assert_array_equal(keys, shard.ids)
     assert workload.uri_of(int(keys[0])) == str(compiled.names[int(keys[0])])
